@@ -2,8 +2,8 @@
 //
 // An ExecContext either borrows a pool (parallel scatter/gather) or
 // holds none (the serial path, byte-for-byte the single-threaded
-// engine). parallel_for_ranges splits an index range into contiguous
-// per-worker pieces; OrderedGate retires concurrently-produced chunk
+// engine). for_each_task runs one pool task per independent item (a
+// partition); OrderedGate retires concurrently-produced chunk
 // results strictly in submission order — PR 2's byte-identical in-order
 // merge, extracted as a primitive so the scatter phase's update shuffle
 // and stay streams stay deterministic at every thread count.
@@ -45,31 +45,6 @@ struct ExecContext {
   bool parallel() const { return threads() > 1; }
 };
 
-struct IndexRange {
-  std::uint64_t begin = 0;
-  std::uint64_t end = 0;  // exclusive
-
-  std::uint64_t size() const { return end - begin; }
-};
-
-/// At most `pieces` contiguous, near-equal subranges of [0, n); the
-/// first (n mod pieces) get one extra element. Empty subranges are not
-/// returned, so the result may hold fewer than `pieces` entries.
-inline std::vector<IndexRange> split_range(std::uint64_t n, unsigned pieces) {
-  FB_CHECK_MSG(pieces > 0, "split_range needs at least one piece");
-  std::vector<IndexRange> out;
-  const std::uint64_t base = n / pieces;
-  const std::uint64_t extra = n % pieces;
-  std::uint64_t begin = 0;
-  for (unsigned i = 0; i < pieces && begin < n; ++i) {
-    const std::uint64_t size = base + (i < extra ? 1 : 0);
-    if (size == 0) break;
-    out.push_back({begin, begin + size});
-    begin += size;
-  }
-  return out;
-}
-
 /// Waits for every future, then rethrows the first captured exception
 /// (all tasks are always joined first, so no task outlives its
 /// captures).
@@ -85,17 +60,22 @@ inline void join_all(std::vector<std::future<void>>& futures) {
   if (first) std::rethrow_exception(first);
 }
 
-/// Runs fn(range) over [0, n) split into at most `pieces` subranges, on
-/// the pool, and joins. The first task exception is rethrown after all
-/// tasks finished.
+/// Runs fn(i) for every i in [0, n) and returns when all are done.
+/// Without a pool (or for a single item) the calls run inline in index
+/// order; otherwise each index is one pool task, and the first task
+/// exception is rethrown once every task has finished. The engines' per-
+/// partition passes (init, gather, final collection) use it: each index
+/// owns disjoint files and state slots, so T=1 and T>1 run one code path.
 template <typename Fn>
-void parallel_for_ranges(ThreadPool& pool, std::uint64_t n, unsigned pieces,
-                         Fn&& fn) {
-  const std::vector<IndexRange> ranges = split_range(n, pieces);
+void for_each_task(const ExecContext& exec, std::uint64_t n, Fn&& fn) {
+  if (!exec.parallel() || n <= 1) {
+    for (std::uint64_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
   std::vector<std::future<void>> futures;
-  futures.reserve(ranges.size());
-  for (const IndexRange& r : ranges) {
-    futures.push_back(pool.submit([&fn, r] { fn(r); }));
+  futures.reserve(n);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    futures.push_back(exec.pool->submit([&fn, i] { fn(i); }));
   }
   join_all(futures);
 }

@@ -686,7 +686,7 @@ RunResult<P> run(const graph::PartitionedGraph& pg,
     FB_CHECK_EQ(sum.trims_failed, result.trims_failed);
     FB_CHECK_EQ(sum.stay_edges_written, result.stay_edges_written);
   }
-  result.states = xd::collect_states<P>(pg, plan, options.reader);
+  result.states = xd::collect_states<P>(pg, plan, options.reader, exec);
   if (!options.keep_files) {
     xd::remove_run_files(pg, plan);
     for (std::uint32_t p = 0; p < num_partitions; ++p) {

@@ -12,6 +12,7 @@
 // code is how that stays true).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
@@ -88,11 +89,11 @@ struct NoStateObserver {};
 /// mask each round; the tracker shadows them in flat arrays, refreshed
 /// by the observer hook whenever a partition's states are (re)written.
 /// Observed partitions cover disjoint vertex ranges, so concurrent
-/// observe_range calls (the parallel init pass) never touch the same
-/// slot; `saturated` is the trim/claim bitmap — a vertex every query
-/// has seen can never gather anything new, its out-edges are dead and
-/// bottom-up rounds skip its in-edge runs. Saturation is monotone, so
-/// bits are only ever added.
+/// observe_range calls (the partition-parallel init and gather passes)
+/// never touch the same slot; `saturated` is the trim/claim bitmap — a
+/// vertex every query has seen can never gather anything new, its
+/// out-edges are dead and bottom-up rounds skip its in-edge runs.
+/// Saturation is monotone, so bits are only ever added.
 ///
 /// Partitions gather_partitions skips (no pending updates) keep stale
 /// mirror entries — exactly: their states did not change.
@@ -160,7 +161,8 @@ void init_partition_states(const graph::PartitionedGraph& pg,
                            Observer* observer = nullptr) {
   using State = typename P::State;
   const graph::PartitionLayout& layout = pg.layout;
-  const auto init_one = [&](std::uint32_t p) {
+  for_each_task(exec, layout.num_partitions(), [&](std::uint64_t t) {
+    const auto p = static_cast<std::uint32_t>(t);
     const graph::VertexId begin = layout.begin(p);
     std::vector<std::uint32_t> degrees(layout.size(p), 0);
     auto edges = io::open_record_reader<graph::Edge>(
@@ -188,17 +190,7 @@ void init_partition_states(const graph::PartitionedGraph& pg,
         observer->observe_range(begin, std::span<const State>(states));
       }
     }
-  };
-  if (!exec.parallel() || layout.num_partitions() == 1) {
-    for (std::uint32_t p = 0; p < layout.num_partitions(); ++p) init_one(p);
-    return;
-  }
-  std::vector<std::future<void>> tasks;
-  tasks.reserve(layout.num_partitions());
-  for (std::uint32_t p = 0; p < layout.num_partitions(); ++p) {
-    tasks.push_back(exec.pool->submit([&init_one, p] { init_one(p); }));
-  }
-  join_all(tasks);
+  });
 }
 
 /// P update writers held open across one scatter phase; writer q
@@ -400,6 +392,23 @@ struct ScatterStage {
   }
 };
 
+/// Read items (scatter chunks, bottom-up read units) one pool task
+/// reads as a single batched submission. On a real-backend device that
+/// is ceil(items / threads), clamped to [1, queue_depth]: a partition of
+/// fewer than threads x queue_depth items still spreads over every
+/// worker, and a large one still keeps queue_depth reads in flight per
+/// ring batch. The modelled timeline is serial, so groups stay size 1
+/// there and the per-item read/charge sequence is the historical one.
+inline std::uint64_t read_group_size(const io::Device& device,
+                                     std::uint64_t items, unsigned threads) {
+  if (device.backend_kind() != io::BackendKind::kReal) return 1;
+  const std::uint64_t workers = std::max(1u, threads);
+  const std::uint64_t queue_depth =
+      std::max(1u, device.backend_options().queue_depth);
+  return std::clamp<std::uint64_t>((items + workers - 1) / workers, 1,
+                                   queue_depth);
+}
+
 /// One partition's scatter: scans `num_records` edges from
 /// `input_name` starting at byte `base_offset` (0 for headerless edge
 /// partition files, codec::kHeaderBytes for raw codec streams), runs
@@ -418,9 +427,12 @@ struct ScatterStage {
 /// Serial (no pool): one streaming reader honouring `reader` (including
 /// prefetch mode), retiring each delivered batch immediately — the
 /// single-threaded engines' exact behaviour. Parallel: the stream is
-/// cut into fixed-size record chunks fanned over the pool; each chunk
-/// task re-reads its own slice through a plain positional reader,
-/// stages updates in per-destination-partition buffers, then retires
+/// cut into fixed-size record chunks, and each pool task owns a group
+/// of read_group_size consecutive chunks (one per task on the modelled
+/// device; on a real device enough to spread the partition over every
+/// worker, at most queue_depth). A task reads its chunks with one
+/// batched positional submission, stages each chunk's updates in
+/// per-destination-partition buffers, then retires chunk by chunk
 /// through an OrderedGate in chunk order. Because every update file
 /// only sees its own updates, in scan order, and survivors append in
 /// scan order too, update files and stay files are byte-identical at
@@ -470,15 +482,10 @@ ScatterResult scatter_partition(
       1, reader.buffer_bytes / sizeof(graph::Edge));
   const std::uint64_t num_chunks =
       (num_records + chunk_records - 1) / chunk_records;
-  // On a real-backend device a task owns a run of consecutive chunks
-  // and submits their positional reads as ONE ring batch (queue_depth
-  // reads in flight per submission). The modelled timeline is serial,
-  // so groups stay size 1 there and the per-chunk read/charge sequence
-  // is exactly the historical one.
+  // A task owns a run of consecutive chunks and submits their
+  // positional reads as ONE batch (read_group_size).
   const std::uint64_t group_chunks =
-      input_dev.backend_kind() == io::BackendKind::kReal
-          ? std::max<std::uint64_t>(1, input_dev.backend_options().queue_depth)
-          : 1;
+      read_group_size(input_dev, num_chunks, exec.threads());
   const std::uint64_t num_groups =
       num_chunks == 0 ? 0 : (num_chunks + group_chunks - 1) / group_chunks;
   OrderedGate gate;
@@ -860,14 +867,11 @@ ScatterResult pull_partition(
     scanned += records.size();
   };
 
-  // Group size: a real device keeps queue_depth unit reads in flight
-  // per submission; the modelled timeline is serial, so groups stay
-  // size 1 and the historical read/flush interleaving (and with it the
-  // charge sequence on a shared update device) is untouched.
-  const std::size_t group_units =
-      input_dev.backend_kind() == io::BackendKind::kReal
-          ? std::max<std::size_t>(1, input_dev.backend_options().queue_depth)
-          : 1;
+  // Units per batched submission (read_group_size): size 1 on the
+  // modelled device keeps the historical read/flush interleaving, and
+  // with it the charge sequence on a shared update device.
+  const std::size_t group_units = static_cast<std::size_t>(
+      read_group_size(input_dev, units.size(), exec.threads()));
 
   if (!exec.parallel()) {
     ScatterStage<P> stage(program, layout, /*sieve=*/false);
@@ -964,19 +968,21 @@ ScatterResult pull_partition(
 /// Gather (+ apply): partitions with no pending updates keep their
 /// state file untouched unless the program applies every round.
 ///
-/// With a pool, each partition's vertex range is split into contiguous
-/// per-worker subranges: every worker scans the full (in-memory) update
-/// batch and folds only the updates addressed into its own subrange, so
-/// no state cell is ever touched by two workers and each cell still
-/// sees its updates in file order. The fold result is bit-identical to
-/// the serial loop for any gather, ordered or not — partitioning by
-/// destination preserves per-cell order — though the engine contract
-/// (program.hpp) additionally requires gathers to be order-free exact
-/// reductions. Apply splits over the same subranges.
+/// Partition-parallel: each partition to gather is one task
+/// (for_each_task — inline in partition order without a pool). A task
+/// loads the partition's states, streams its update file through the
+/// codec reader, checks every record's routing and folds it into its
+/// state, applies, and writes the state file back. Partitions own
+/// disjoint vertex ranges, state files and update files, and
+/// `next_active` is atomic, so the states and file bytes are the same at
+/// every thread count by construction; each cell still sees its updates
+/// in file order. Up to `threads` partitions' states are resident at
+/// once.
 ///
 /// `observer` (masked programs — see MaskStateTracker) sees each
-/// touched partition's states after gather + apply; skipped partitions
-/// keep their previous (still accurate) mirror entries.
+/// touched partition's states after gather + apply, from that
+/// partition's task; skipped partitions keep their previous (still
+/// accurate) mirror entries.
 template <graph::GraphProgram P, typename Observer = NoStateObserver>
 void gather_partitions(const graph::PartitionedGraph& pg,
                        const io::StoragePlan& plan,
@@ -989,66 +995,36 @@ void gather_partitions(const graph::PartitionedGraph& pg,
   using State = typename P::State;
   using Update = typename P::Update;
   const graph::PartitionLayout& layout = pg.layout;
+  std::vector<std::uint32_t> todo;
   for (std::uint32_t q = 0; q < layout.num_partitions(); ++q) {
-    if (pending_updates[q] == 0 && !P::kNeedsApply) continue;
+    if (pending_updates[q] > 0 || P::kNeedsApply) todo.push_back(q);
+  }
+  for_each_task(exec, todo.size(), [&](std::uint64_t t) {
+    const std::uint32_t q = todo[t];
     const graph::VertexId begin = layout.begin(q);
     std::vector<State> states = read_records<State>(
         plan.state(), state_file_name(pg, q), reader, layout.size(q));
     if (pending_updates[q] > 0) {
       metrics::ScopedPhase gather_timer(collector, metrics::Phase::kGather);
-      if (!exec.parallel()) {
-        auto updates = io::codec::open_reader<Update>(
-            plan.updates(), update_file_name(pg, q), reader);
-        for (auto batch = updates->next_batch(); !batch.empty();
-             batch = updates->next_batch()) {
-          for (const Update& u : batch) {
-            FB_CHECK_MSG(layout.owner(u.dst) == q,
-                         "update target " << u.dst
-                                          << " misrouted into partition " << q
-                                          << " of " << pg.meta.name);
-            if (program.gather(u, states[u.dst - begin])) {
-              next_active.set(u.dst);
-            }
+      auto updates = io::codec::open_reader<Update>(
+          plan.updates(), update_file_name(pg, q), reader);
+      for (auto batch = updates->next_batch(); !batch.empty();
+           batch = updates->next_batch()) {
+        for (const Update& u : batch) {
+          FB_CHECK_MSG(layout.owner(u.dst) == q,
+                       "update target " << u.dst
+                                        << " misrouted into partition " << q
+                                        << " of " << pg.meta.name);
+          if (program.gather(u, states[u.dst - begin])) {
+            next_active.set(u.dst);
           }
         }
-      } else {
-        const std::vector<Update> updates = read_records<Update>(
-            plan.updates(), update_file_name(pg, q), reader,
-            pending_updates[q]);
-        parallel_for_ranges(
-            *exec.pool, states.size(), exec.threads(),
-            [&](const IndexRange& r) {
-              // The worker owning the range start audits routing for
-              // the whole batch (once, not per worker).
-              const bool audit = r.begin == 0;
-              for (const Update& u : updates) {
-                if (audit) {
-                  FB_CHECK_MSG(layout.owner(u.dst) == q,
-                               "update target "
-                                   << u.dst << " misrouted into partition "
-                                   << q << " of " << pg.meta.name);
-                }
-                const std::uint64_t i = u.dst - begin;
-                if (i < r.begin || i >= r.end) continue;
-                if (program.gather(u, states[i])) {
-                  next_active.set(u.dst);
-                }
-              }
-            });
       }
     }
     if constexpr (P::kNeedsApply) {
       metrics::ScopedPhase apply_timer(collector, metrics::Phase::kApply);
-      const auto apply_range = [&](const IndexRange& r) {
-        for (std::uint64_t i = r.begin; i < r.end; ++i) {
-          program.apply(begin + static_cast<graph::VertexId>(i), states[i]);
-        }
-      };
-      if (!exec.parallel()) {
-        apply_range({0, states.size()});
-      } else {
-        parallel_for_ranges(*exec.pool, states.size(), exec.threads(),
-                            apply_range);
+      for (std::uint64_t i = 0; i < states.size(); ++i) {
+        program.apply(begin + static_cast<graph::VertexId>(i), states[i]);
       }
     }
     write_records<State>(plan.state(), state_file_name(pg, q), states,
@@ -1058,22 +1034,36 @@ void gather_partitions(const graph::PartitionedGraph& pg,
         observer->observe_range(begin, std::span<const State>(states));
       }
     }
-  }
+  });
 }
 
-/// Reads the final per-partition state files back in id order.
+/// Reads the final per-partition state files back in id order: one
+/// task per partition decodes straight into its slice of the pre-sized
+/// result.
 template <graph::GraphProgram P>
 std::vector<typename P::State> collect_states(
     const graph::PartitionedGraph& pg, const io::StoragePlan& plan,
-    const io::ReaderOptions& reader) {
+    const io::ReaderOptions& reader, const ExecContext& exec) {
   using State = typename P::State;
-  std::vector<State> out;
-  out.reserve(pg.layout.num_vertices());
-  for (std::uint32_t p = 0; p < pg.layout.num_partitions(); ++p) {
-    const std::vector<State> states = read_records<State>(
-        plan.state(), state_file_name(pg, p), reader, pg.layout.size(p));
-    out.insert(out.end(), states.begin(), states.end());
-  }
+  const graph::PartitionLayout& layout = pg.layout;
+  std::vector<State> out(layout.num_vertices());
+  for_each_task(exec, layout.num_partitions(), [&](std::uint64_t p) {
+    const auto q = static_cast<std::uint32_t>(p);
+    const std::string name = state_file_name(pg, q);
+    const std::span<State> slice(out.data() + layout.begin(q), layout.size(q));
+    auto states = io::codec::open_reader<State>(plan.state(), name, reader);
+    std::uint64_t got = 0;
+    for (auto batch = states->next_batch(); !batch.empty();
+         batch = states->next_batch()) {
+      FB_CHECK_MSG(batch.size() <= slice.size() - got,
+                   name << " holds more than " << slice.size() << " states");
+      std::copy(batch.begin(), batch.end(), slice.begin() + got);
+      got += batch.size();
+    }
+    FB_CHECK_MSG(got == slice.size(), name << " decodes to " << got
+                                           << " states, expected "
+                                           << slice.size());
+  });
   return out;
 }
 

@@ -179,7 +179,7 @@ RunResult<P> run(const graph::PartitionedGraph& pg,
   }
 
   // ---- collect the final states (id order) and tidy the devices.
-  result.states = detail::collect_states<P>(pg, plan, options.reader);
+  result.states = detail::collect_states<P>(pg, plan, options.reader, exec);
   if (!options.keep_files) {
     detail::remove_run_files(pg, plan);
   }

@@ -1,6 +1,6 @@
-// Work-batching helpers the parallel engines are built on: range
-// splitting, pool fan-out with exception propagation, and the
-// OrderedGate that keeps chunked output byte-deterministic.
+// Work-batching helpers the parallel engines are built on: per-item
+// pool fan-out with exception propagation, and the OrderedGate that
+// keeps chunked output byte-deterministic.
 #include "common/parallel.hpp"
 
 #include <gtest/gtest.h>
@@ -13,53 +13,41 @@
 namespace fbfs {
 namespace {
 
-TEST(SplitRange, CoversEveryIndexOnceInOrder) {
-  for (const std::uint64_t n : {0ull, 1ull, 7ull, 64ull, 1000ull}) {
-    for (const unsigned pieces : {1u, 2u, 3u, 8u, 200u}) {
-      const std::vector<IndexRange> ranges = split_range(n, pieces);
-      std::uint64_t expected_begin = 0;
-      for (const IndexRange& r : ranges) {
-        EXPECT_EQ(r.begin, expected_begin);
-        EXPECT_GT(r.end, r.begin);  // empty subranges are dropped
-        expected_begin = r.end;
+TEST(ForEachTask, SumsMatchAndExceptionsPropagate) {
+  ThreadPool pool(4);
+  for (const ExecContext exec : {ExecContext{}, ExecContext{&pool}}) {
+    SCOPED_TRACE(exec.parallel() ? "pool" : "inline");
+    std::vector<std::uint64_t> values(1'000);
+    std::iota(values.begin(), values.end(), 0);
+    std::vector<std::uint64_t> sums(10, 0);
+    // Each task owns one slot: the engines' one-partition-per-task shape.
+    for_each_task(exec, sums.size(), [&](std::uint64_t t) {
+      for (std::uint64_t i = t * 100; i < (t + 1) * 100; ++i) {
+        sums[t] += values[i];
       }
-      EXPECT_EQ(expected_begin, n) << n << " over " << pieces;
-      EXPECT_LE(ranges.size(), pieces);
-      // Near-equal: sizes differ by at most one.
-      if (!ranges.empty()) {
-        const std::uint64_t smallest = ranges.back().size();
-        const std::uint64_t largest = ranges.front().size();
-        EXPECT_LE(largest - smallest, 1u);
-      }
-    }
+    });
+    EXPECT_EQ(std::accumulate(sums.begin(), sums.end(), std::uint64_t{0}),
+              1'000ull * 999 / 2);
+
+    // On the pool a throwing task surfaces after every task ran (no task
+    // outlives its captures); inline, the first failure stops the loop.
+    std::atomic<unsigned> ran{0};
+    EXPECT_THROW(for_each_task(exec, 4,
+                               [&](std::uint64_t t) {
+                                 ran.fetch_add(1);
+                                 if (t == 0) {
+                                   throw std::runtime_error("task failed");
+                                 }
+                               }),
+                 std::runtime_error);
+    EXPECT_EQ(ran.load(), exec.parallel() ? 4u : 1u);
   }
 }
 
-TEST(ParallelForRanges, SumsMatchAndExceptionsPropagate) {
-  ThreadPool pool(4);
-  std::vector<std::uint64_t> values(10'000);
-  std::iota(values.begin(), values.end(), 0);
-  std::atomic<std::uint64_t> sum{0};
-  parallel_for_ranges(pool, values.size(), 8, [&](const IndexRange& r) {
-    std::uint64_t local = 0;
-    for (std::uint64_t i = r.begin; i < r.end; ++i) local += values[i];
-    sum.fetch_add(local, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(sum.load(), 10'000ull * 9'999 / 2);
-
-  // A throwing range surfaces after all ranges ran (no task outlives
-  // its captures), and the other ranges still completed.
-  std::atomic<unsigned> ran{0};
-  EXPECT_THROW(
-      parallel_for_ranges(pool, 100, 4,
-                          [&](const IndexRange& r) {
-                            ran.fetch_add(1);
-                            if (r.begin == 0) {
-                              throw std::runtime_error("range failed");
-                            }
-                          }),
-      std::runtime_error);
-  EXPECT_EQ(ran.load(), 4u);
+TEST(ForEachTask, InlineRunsInIndexOrder) {
+  std::vector<std::uint64_t> order;
+  for_each_task(ExecContext{}, 5, [&](std::uint64_t i) { order.push_back(i); });
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{0, 1, 2, 3, 4}));
 }
 
 TEST(OrderedGate, RetiresTicketsInSubmissionOrderOnThePool) {

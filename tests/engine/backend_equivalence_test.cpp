@@ -32,9 +32,15 @@ using graph::BfsProgram;
 using graph::GraphMeta;
 using graph::WccProgram;
 
-GraphMeta er_meta(io::Device& dev) {
-  const graph::ErdosRenyiSource source(
-      {.num_vertices = 500, .num_edges = 4000, .seed = 13});
+struct GraphSize {
+  std::uint64_t num_vertices = 500;
+  std::uint64_t num_edges = 4000;
+};
+
+GraphMeta er_meta(io::Device& dev, const GraphSize& size = {}) {
+  const graph::ErdosRenyiSource source({.num_vertices = size.num_vertices,
+                                        .num_edges = size.num_edges,
+                                        .seed = 13});
   return graph::write_generated(
       dev, "er", source.num_vertices(), source.seed(), source.undirected(),
       [&](const graph::EdgeSink& sink) { source.generate(sink); });
@@ -44,6 +50,7 @@ GraphMeta er_meta(io::Device& dev) {
 /// on the device, byte for byte.
 struct RunArtifacts {
   std::uint32_t iterations = 0;
+  std::uint32_t bottomup_rounds = 0;
   std::vector<std::byte> states;
   std::map<std::string, std::vector<std::byte>> files;
 };
@@ -66,9 +73,10 @@ template <graph::GraphProgram P>
 RunArtifacts run_on_backend(const std::string& root,
                             const io::BackendOptions& backend,
                             Kind kind, const P& program,
-                            const engine::Options& options) {
+                            const engine::Options& options,
+                            const GraphSize& size = {}) {
   io::Device dev(root, io::DeviceModel::unthrottled(), backend);
-  GraphMeta meta = er_meta(dev);
+  GraphMeta meta = er_meta(dev, size);
   if (P::kRequiresUndirected) {
     meta = graph::symmetrize_edge_list(dev, meta, "er_sym");
   }
@@ -78,6 +86,7 @@ RunArtifacts run_on_backend(const std::string& root,
 
   RunArtifacts art;
   art.iterations = result.iterations;
+  art.bottomup_rounds = result.bottomup_rounds;
   art.states.resize(result.states.size() * sizeof(typename P::State));
   std::memcpy(art.states.data(), result.states.data(), art.states.size());
   art.files = slurp_files(dev);
@@ -103,16 +112,18 @@ void expect_identical(const RunArtifacts& modelled, const RunArtifacts& real) {
 }
 
 template <graph::GraphProgram P>
-void expect_backend_equivalent(const P& program, Kind kind,
-                               const engine::Options& options,
-                               const io::BackendOptions& real_backend = {
-                                   .kind = io::BackendKind::kReal}) {
+RunArtifacts expect_backend_equivalent(
+    const P& program, Kind kind, const engine::Options& options,
+    const io::BackendOptions& real_backend = {.kind = io::BackendKind::kReal},
+    const GraphSize& size = {}) {
   TempDir dir("backend_equiv");
-  const RunArtifacts modelled = run_on_backend(
-      dir.str() + "/modelled", io::BackendOptions{}, kind, program, options);
+  RunArtifacts modelled =
+      run_on_backend(dir.str() + "/modelled", io::BackendOptions{}, kind,
+                     program, options, size);
   const RunArtifacts real = run_on_backend(dir.str() + "/real", real_backend,
-                                           kind, program, options);
+                                           kind, program, options, size);
   expect_identical(modelled, real);
+  return modelled;
 }
 
 engine::Options opts(std::uint32_t threads, bool trim,
@@ -192,6 +203,71 @@ TEST(BackendEquivalence, RunBatchMultiSourceAcrossBackends) {
                               sizeof(BfsProgram::State)),
               0)
         << "query " << q;
+  }
+}
+
+// A 256-byte reader buffer on a graph of ~8000 edges per partition
+// makes every partition span ~250 scatter chunks and two transposed
+// blocks (bottom-up read units), so the real backend's multi-task
+// grouped reads run at T=4 (read_group_size), at queue depth 1 and 8.
+// keep_files leaves the state and update files for the byte compare.
+constexpr GraphSize kManyChunks{.num_vertices = 2000, .num_edges = 24000};
+
+engine::Options small_buffer_opts(bool trim, Direction direction) {
+  engine::Options o = opts(4, trim, direction);
+  o.reader.buffer_bytes = 256;
+  o.keep_files = true;
+  return o;
+}
+
+TEST(BackendEquivalence, SmallBuffersSpreadPartitionsOverTasks) {
+  for (const unsigned qd : {1u, 8u}) {
+    SCOPED_TRACE("qd=" + std::to_string(qd));
+    const io::BackendOptions real{.kind = io::BackendKind::kReal,
+                                  .queue_depth = qd};
+    expect_backend_equivalent(BfsProgram{.root = 1}, Kind::kXstream,
+                              small_buffer_opts(false, Direction::kTopDown),
+                              real, kManyChunks);
+    const RunArtifacts core = expect_backend_equivalent(
+        BfsProgram{.root = 1}, Kind::kCore,
+        small_buffer_opts(true, Direction::kAuto), real, kManyChunks);
+    EXPECT_GT(core.bottomup_rounds, 0u) << "the pull path never ran";
+  }
+}
+
+TEST(BackendEquivalence, SmallBuffersRunBatchAcrossBackends) {
+  const std::vector<graph::VertexId> sources = {0, 1, 7};
+  for (const unsigned qd : {1u, 8u}) {
+    SCOPED_TRACE("qd=" + std::to_string(qd));
+    TempDir dir("backend_equiv");
+    RunArtifacts art[2];
+    for (int which = 0; which < 2; ++which) {
+      const io::BackendOptions backend =
+          which == 0 ? io::BackendOptions{}
+                     : io::BackendOptions{.kind = io::BackendKind::kReal,
+                                          .queue_depth = qd};
+      io::Device dev(dir.str() + (which == 0 ? "/modelled" : "/real"),
+                     io::DeviceModel::unthrottled(), backend);
+      const GraphMeta meta = er_meta(dev, kManyChunks);
+      const io::StoragePlan plan = io::StoragePlan::single(dev);
+      const graph::PartitionedGraph pg =
+          graph::partition_edge_list(plan, meta, 3);
+      const engine::BatchRunResult result = engine::run_batch(
+          Kind::kCore, pg, plan, sources,
+          small_buffer_opts(true, Direction::kAuto));
+      ASSERT_EQ(result.traversals.size(), 1u);
+      art[which].iterations = result.traversals[0].iterations;
+      art[which].bottomup_rounds = result.traversals[0].bottomup_rounds;
+      for (const auto& states : result.per_query) {
+        const auto* bytes = reinterpret_cast<const std::byte*>(states.data());
+        art[which].states.insert(
+            art[which].states.end(), bytes,
+            bytes + states.size() * sizeof(BfsProgram::State));
+      }
+      art[which].files = slurp_files(dev);
+    }
+    expect_identical(art[0], art[1]);
+    EXPECT_GT(art[0].bottomup_rounds, 0u) << "the masked pull never ran";
   }
 }
 

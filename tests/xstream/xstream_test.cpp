@@ -10,7 +10,9 @@
 #include <string>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "common/temp_dir.hpp"
+#include "common/thread_pool.hpp"
 #include "graph/generators.hpp"
 
 namespace fbfs::xstream {
@@ -208,6 +210,59 @@ TEST(XStream, UpdateShuffleIsByteIdenticalAcrossThreadCounts) {
               file_bytes(t4_dev, state_file_name(pgs[1], p)))
         << "state file " << p;
   }
+}
+
+TEST(XStream, ReadGroupSizeSpreadsSmallPartitionsOverTheWorkers) {
+  TempDir dir("xstream");
+  io::Device modelled(dir.str() + "/modelled", io::DeviceModel::unthrottled());
+  io::Device real(dir.str() + "/real", io::DeviceModel::unthrottled(),
+                  {.kind = io::BackendKind::kReal, .queue_depth = 8});
+  // The modelled timeline is serial: one item per task, always.
+  for (const std::uint64_t items : {0ull, 1ull, 4ull, 100ull}) {
+    EXPECT_EQ(detail::read_group_size(modelled, items, 4), 1u) << items;
+  }
+  // Real, qd 8, T=4: ceil(items / 4) clamped to [1, 8].
+  EXPECT_EQ(detail::read_group_size(real, 0, 4), 1u);
+  EXPECT_EQ(detail::read_group_size(real, 4, 4), 1u);
+  EXPECT_EQ(detail::read_group_size(real, 9, 4), 3u);
+  EXPECT_EQ(detail::read_group_size(real, 100, 4), 8u);
+  // T=1 (the serial bottom-up pull): min(items, qd), at least 1.
+  EXPECT_EQ(detail::read_group_size(real, 0, 1), 1u);
+  EXPECT_EQ(detail::read_group_size(real, 3, 1), 3u);
+  EXPECT_EQ(detail::read_group_size(real, 100, 1), 8u);
+}
+
+TEST(XStreamDeath, PartitionParallelGatherStillChecksRouting) {
+  // Gather checks every record's destination against the partition the
+  // file belongs to. Run it at T=4 with four partitions pending, so the
+  // partition tasks really go through the pool, and plant one update
+  // addressed into partition 0 inside partition 2's file.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  TempDir dir("xstream");
+  io::Device dev(dir.str(), io::DeviceModel::unthrottled());
+  const GraphMeta meta = chain_graph(dev, 20);
+  const io::StoragePlan plan = io::StoragePlan::single(dev);
+  const PartitionedGraph pg = partition_edge_list(plan, meta, 4);
+  const BfsProgram program{.root = 0};
+  ThreadPool pool(4);
+  const ExecContext exec{&pool};
+  AtomicBitmap active(20);
+  detail::init_partition_states(pg, plan, io::ReaderOptions{}, 1 << 12,
+                                program, active, exec);
+
+  std::vector<std::uint64_t> pending(4, 0);
+  for (std::uint32_t q = 0; q < 4; ++q) {
+    std::vector<BfsProgram::Update> updates = {{pg.layout.begin(q), 1}};
+    if (q == 2) updates.push_back({pg.layout.begin(0), 1});
+    detail::write_records<BfsProgram::Update>(dev, update_file_name(pg, q),
+                                              updates, 1 << 12);
+    pending[q] = updates.size();
+  }
+  AtomicBitmap next_active(20);
+  EXPECT_DEATH(detail::gather_partitions(pg, plan, io::ReaderOptions{},
+                                         1 << 12, program, pending,
+                                         next_active, exec),
+               "update target 0 misrouted into partition 2");
 }
 
 }  // namespace
