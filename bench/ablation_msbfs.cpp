@@ -16,6 +16,12 @@
 // subset-dominance sieve is what keeps 64-query update traffic from
 // drowning the scan sharing.
 //
+// The state columns sum each arm's per-round state-role traffic. Core
+// keeps a batch's round state resident (the mask tracker), so the batch
+// arm's must be 0 — CHECKed, so a regression back to per-round state
+// files fails the run — while every sequential run still reads and
+// writes its BFS state files each round.
+//
 // Devices are UNTHROTTLED here, unlike the figure benches: the
 // sequential arm is 64 full traversals per dataset and config, and the
 // modelled-HDD token bucket would stretch that past any CI budget. The
@@ -51,6 +57,8 @@ using graph::BfsProgram;
 struct ArmIo {
   std::uint64_t edge_bytes_read = 0;    // edge + stay input traffic
   std::uint64_t update_bytes_written = 0;
+  std::uint64_t state_bytes_read = 0;  // summed over rounds only
+  std::uint64_t state_bytes_written = 0;
   std::uint64_t updates_emitted = 0;
   std::uint64_t updates_sieved = 0;
   std::uint32_t iterations = 0;
@@ -61,6 +69,8 @@ void add_rows(ArmIo& io, const std::vector<metrics::IterationStats>& rows) {
     io.edge_bytes_read += s.role_io(io::Role::kEdges).bytes_read +
                           s.role_io(io::Role::kStay).bytes_read;
     io.update_bytes_written += s.role_io(io::Role::kUpdates).bytes_written;
+    io.state_bytes_read += s.role_io(io::Role::kState).bytes_read;
+    io.state_bytes_written += s.role_io(io::Role::kState).bytes_written;
     io.updates_emitted += s.updates_emitted;
     io.updates_sieved += s.updates_sieved;
   }
@@ -132,7 +142,8 @@ int main(int argc, char** argv) {
   json.text("system", "fastbfs");
 
   metrics::Table arms({"dataset", "arm", "queries", "iters", "edges rd",
-                       "edges rd/query", "upd wr", "updates", "sieved"});
+                       "edges rd/query", "upd wr", "state rd", "state wr",
+                       "updates", "sieved"});
   metrics::Table codecs({"dataset", "sieve+codec", "upd wr", "updates",
                          "sieved"});
   double rmat_edge_ratio = 0.0;
@@ -193,9 +204,18 @@ int main(int argc, char** argv) {
                     metrics::Table::bytes(arm->edge_bytes_read),
                     metrics::Table::bytes(arm->edge_bytes_read / queries),
                     metrics::Table::bytes(arm->update_bytes_written),
+                    metrics::Table::bytes(arm->state_bytes_read),
+                    metrics::Table::bytes(arm->state_bytes_written),
                     metrics::Table::count(arm->updates_emitted),
                     metrics::Table::count(arm->updates_sieved)});
     }
+    FB_CHECK_MSG(batch_io.state_bytes_read == 0 &&
+                     batch_io.state_bytes_written == 0,
+                 "batched rounds on " << ds.name << " moved "
+                                      << batch_io.state_bytes_read
+                                      << " state bytes read and "
+                                      << batch_io.state_bytes_written
+                                      << " written, expected 0");
 
     // Update-stream ablation on the batch arm alone: raw + unsieved vs
     // the mask-OR sieve + codec auto.
@@ -220,6 +240,8 @@ int main(int argc, char** argv) {
     json.integer("iterations", batch_io.iterations);
     json.integer("edge_bytes_read", batch_io.edge_bytes_read);
     json.integer("update_bytes_written", batch_io.update_bytes_written);
+    json.integer("state_bytes_read", batch_io.state_bytes_read);
+    json.integer("state_bytes_written", batch_io.state_bytes_written);
     json.integer("updates_emitted", batch_io.updates_emitted);
     json.integer("updates_sieved", batch_io.updates_sieved);
     json.close();
@@ -227,6 +249,8 @@ int main(int argc, char** argv) {
     json.integer("iterations", seq_io.iterations);
     json.integer("edge_bytes_read", seq_io.edge_bytes_read);
     json.integer("update_bytes_written", seq_io.update_bytes_written);
+    json.integer("state_bytes_read", seq_io.state_bytes_read);
+    json.integer("state_bytes_written", seq_io.state_bytes_written);
     json.integer("updates_emitted", seq_io.updates_emitted);
     json.close();
     json.open("batch_raw_unsieved");

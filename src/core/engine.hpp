@@ -43,8 +43,16 @@
 // The direction model additionally sees the round's aggregate frontier
 // mask popcount, so the beta gate reads per-query density.
 //
+// Masked programs also keep their rounds off the state device: the
+// tracker holds every vertex's {seen, frontier, mark} head, a top-down
+// scatter emits from it, gather folds each round's update files into it
+// and keeps them under per-round names, and collect rebuilds the full
+// States (per-query levels) once by replaying those files over the init
+// state files. Only the init write and the collect read touch state
+// bytes.
+//
 // Round accounting and stop rules are EXACTLY inmem::run's (change
-// both or neither); init/fan-out/gather/collect come verbatim from
+// both or neither); init/fan-out/gather/collect come from
 // xstream/detail.hpp.
 #pragma once
 
@@ -225,9 +233,10 @@ RunResult<P> run(const graph::PartitionedGraph& pg,
   const ExecContext exec{pool ? &*pool : nullptr};
 
   // ---- masked-program state (batched multi-source traversal). The
-  // tracker mirrors every vertex's seen/frontier mask into flat arrays
-  // (refreshed by the init/gather observer hooks) and owns the
-  // saturation bitmap that replaces `retired` AND `visited` below.
+  // tracker holds every vertex's seen/frontier/mark head in flat arrays
+  // (seeded by the init observer hook, then folded into by gather) and
+  // owns the saturation bitmap that replaces `retired` AND `visited`
+  // below.
   constexpr bool masked = graph::MaskedProgram<P>;
   [[maybe_unused]] std::uint32_t batch_width = 0;
   std::optional<xd::MaskStateTracker<P>> tracker;
@@ -515,11 +524,9 @@ RunResult<P> run(const graph::PartitionedGraph& pg,
 
         metrics::ScopedPhase scatter_timer(collector,
                                            metrics::Phase::kScatter);
-        const std::vector<State> states = xd::read_records<State>(
-            plan.state(), xstream::state_file_name(pg, p), options.reader,
-            layout.size(p));
-        xd::ScatterResult scattered;
-        {
+        // The input readers live inside the call, so they are closed
+        // before the stay stream below can commit a rename.
+        const auto scatter_from = [&](const auto& source) {
           if (input_on_stay[p] &&
               stay_format[p] != io::codec::Format::kRaw) {
             // An encoded stay file has no per-chunk byte offsets to
@@ -530,25 +537,33 @@ RunResult<P> run(const graph::PartitionedGraph& pg,
                                                  stay_file_name(pg, p),
                                                  options.reader,
                                                  input_edges[p]);
-            scattered = xd::scatter_span<P>(
-                exec, stay_edges, layout, layout.begin(p), states, active,
-                program, options.reader, options.sieve_updates, fanout, sink,
-                collector);
-          } else {
-            io::Device& input_dev =
-                input_on_stay[p] ? plan.stay() : plan.edges();
-            const std::string input_name = input_on_stay[p]
-                                               ? stay_file_name(pg, p)
-                                               : pg.partition_file(p);
-            const std::uint64_t base_offset =
-                input_on_stay[p] ? io::codec::kHeaderBytes : 0;
-            scattered = xd::scatter_partition<P>(
-                exec, input_dev, input_name, base_offset, input_edges[p],
-                layout, layout.begin(p), states, active, program,
-                options.reader, options.sieve_updates, fanout, sink,
-                collector);
+            return xd::scatter_span<P>(exec, stay_edges, layout, source,
+                                       active, program, options.reader,
+                                       options.sieve_updates, fanout, sink,
+                                       collector);
           }
-        }  // readers closed before the stream can commit a rename
+          io::Device& input_dev =
+              input_on_stay[p] ? plan.stay() : plan.edges();
+          const std::string input_name =
+              input_on_stay[p] ? stay_file_name(pg, p) : pg.partition_file(p);
+          const std::uint64_t base_offset =
+              input_on_stay[p] ? io::codec::kHeaderBytes : 0;
+          return xd::scatter_partition<P>(
+              exec, input_dev, input_name, base_offset, input_edges[p],
+              layout, source, active, program, options.reader,
+              options.sieve_updates, fanout, sink, collector);
+        };
+        xd::ScatterResult scattered;
+        if constexpr (masked) {
+          // Active sources' heads are resident: no state file to load.
+          scattered = scatter_from(*tracker);
+        } else {
+          const std::vector<State> states = xd::read_records<State>(
+              plan.state(), xstream::state_file_name(pg, p), options.reader,
+              layout.size(p));
+          scattered = scatter_from(
+              xd::StateSource<P>{program, states, layout.begin(p)});
+        }
         FB_CHECK_MSG(scattered.scanned == input_edges[p],
                      "partition " << p << " input of " << pg.meta.name
                                   << " holds " << scattered.scanned
@@ -620,22 +635,16 @@ RunResult<P> run(const graph::PartitionedGraph& pg,
     next_active.reset();
     {
       Stopwatch gather_clock;
-      if constexpr (masked) {
-        xd::gather_partitions(pg, plan, options.reader,
-                              options.write_buffer_bytes, program,
-                              pending_updates, next_active, exec, collector,
-                              &*tracker);
-      } else {
-        xd::gather_partitions(pg, plan, options.reader,
-                              options.write_buffer_bytes, program,
-                              pending_updates, next_active, exec, collector);
-      }
+      xd::gather_partitions(pg, plan, options.reader,
+                            options.write_buffer_bytes, program,
+                            pending_updates, next_active, exec, collector,
+                            tracker ? &*tracker : nullptr);
       stats.gather_seconds = gather_clock.seconds();
     }
 
     // This round's frontier has scattered: those sources are dead for
     // every future round of a trimmable program. (Masked deadness is
-    // saturation, which the gather observer just refreshed.)
+    // saturation, which the gather fold just refreshed.)
     if constexpr (!masked) {
       if (trim_capable) retired->or_with(active);
     }
@@ -686,9 +695,13 @@ RunResult<P> run(const graph::PartitionedGraph& pg,
     FB_CHECK_EQ(sum.trims_failed, result.trims_failed);
     FB_CHECK_EQ(sum.stay_edges_written, result.stay_edges_written);
   }
-  result.states = xd::collect_states<P>(pg, plan, options.reader, exec);
+  result.states = xd::collect_states<P>(pg, plan, options.reader, exec,
+                                        tracker ? &*tracker : nullptr);
   if (!options.keep_files) {
-    xd::remove_run_files(pg, plan);
+    xd::remove_run_files(
+        pg, plan,
+        tracker ? tracker->round_updates
+                : std::vector<std::vector<std::uint64_t>>{});
     for (std::uint32_t p = 0; p < num_partitions; ++p) {
       if (plan.stay().exists(stay_file_name(pg, p))) {
         plan.stay().remove(stay_file_name(pg, p));

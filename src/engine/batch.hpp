@@ -10,10 +10,12 @@
 //
 // Config keys (batch_options_from_config):
 //   * `batch.max_width` — queries packed per traversal, clamped to
-//     [1, graph::kMaxBatchQueries]. Default 64. Shrinking it trades
-//     scan sharing for narrower masks (the codec's per-update mask
-//     bytes don't shrink — Update stays 16 bytes — so 64 is right
-//     unless memory for B x 4-byte levels per vertex is the limit).
+//     [1, graph::kMaxBatchQueries]. Default 64. Shrinking it only
+//     loses scan sharing: Update stays 16 bytes and State 280 (the
+//     type is MultiBfs<64> at every width), and core's rounds keep
+//     just the 20-byte seen/frontier/mark head per vertex resident.
+//     The 64 x 4-byte levels per vertex exist only on the state files
+//     and in the collected result.
 #pragma once
 
 #include <algorithm>

@@ -26,6 +26,16 @@
 // their round's level, so "u.level != s.mark" detects the round change
 // without the engine telling states when a round ends — order-free,
 // because every update of one round carries the same level.
+//
+// A round reads and writes only the 24-byte {seen, frontier, mark} head
+// of State; the B x 4-byte `levels` tail is output. The mask hooks
+// (gather_masks, scatter_masked) work on that head alone, which is what
+// lets core::run keep it resident in its MaskStateTracker for every
+// vertex and leave the full States on device untouched during rounds:
+// it rebuilds `levels` once, at collect, by replaying the rounds' kept
+// update files through gather — the same fold, the same records, in the
+// same order, so the replayed States are byte-identical to the ones a
+// per-round state-file gather (xstream::run) leaves.
 #pragma once
 
 #include <array>
@@ -102,7 +112,13 @@ struct MultiBfs {
     active = s.seen != 0;
   }
   bool scatter(const Edge& e, const State& src, Update& out) const {
-    out = {e.dst, src.mark + 1, src.frontier};
+    return scatter_masked(e, src.frontier, src.mark, out);
+  }
+  /// scatter() from the source's frontier mask and round mark alone —
+  /// the top-down hook for engines that keep the masks resident.
+  bool scatter_masked(const Edge& e, std::uint64_t frontier,
+                      std::uint32_t mark, Update& out) const {
+    out = {e.dst, mark + 1, frontier};
     return true;
   }
   /// The bottom-up hook (MaskedProgram): like BfsProgram::pull, but the
@@ -115,23 +131,33 @@ struct MultiBfs {
   }
   std::uint64_t frontier_mask(const State& s) const { return s.frontier; }
   std::uint64_t seen_mask(const State& s) const { return s.seen; }
-  bool gather(const Update& u, State& s) const {
-    const std::uint64_t fresh = u.mask & ~s.seen;
+  std::uint32_t round_mark(const State& s) const { return s.mark; }
+  /// The round fold on the mask head alone; returns the fresh query
+  /// bits (0: a no-op that mutated nothing). gather() is this plus the
+  /// fresh bits' levels.
+  std::uint64_t gather_masks(const Update& u, std::uint64_t& seen,
+                             std::uint64_t& frontier,
+                             std::uint32_t& mark) const {
+    const std::uint64_t fresh = u.mask & ~seen;
     // The early-out must come BEFORE any mutation: top-down rounds
     // deliver redundant updates that bottom-up rounds (restricted
     // masks + claiming) never emit, and direction equivalence needs
     // both to leave byte-identical states.
-    if (fresh == 0) return false;
-    if (u.level != s.mark) {  // first arrival of a new round
-      s.frontier = 0;
-      s.mark = u.level;
+    if (fresh == 0) return 0;
+    if (u.level != mark) {  // first arrival of a new round
+      frontier = 0;
+      mark = u.level;
     }
-    s.seen |= fresh;
-    s.frontier |= fresh;
+    seen |= fresh;
+    frontier |= fresh;
+    return fresh;
+  }
+  bool gather(const Update& u, State& s) const {
+    const std::uint64_t fresh = gather_masks(u, s.seen, s.frontier, s.mark);
     for (std::uint64_t bits = fresh; bits != 0; bits &= bits - 1) {
       s.levels[std::countr_zero(bits)] = u.level;
     }
-    return true;
+    return fresh != 0;
   }
   void apply(VertexId, State&) const {}
   /// Subset dominance: b is redundant after a when it brings no new

@@ -140,15 +140,28 @@ concept PullCapable = kIdempotentGatherV<P> &&
 /// `frontier_mask(src) & ~already-delivered`, so a dst's pulled masks
 /// never overlap) and returns false when the restricted mask is empty.
 /// Exactness needs an idempotent OR-fold gather, hence the conjunction.
+///
+/// The mask head {seen, frontier, round mark} is all a round reads or
+/// writes, so the engine can keep it resident and run rounds on it
+/// alone: `scatter_masked(e, frontier, mark, out)` must emit what
+/// scatter() would from a State with that head, and
+/// `gather_masks(u, seen, frontier, mark)` must fold the head exactly as
+/// gather() does, returning the fresh bits (nonzero iff gather() would
+/// return true). The rest of State is rebuilt afterwards by replaying
+/// the rounds' updates through gather().
 template <typename P>
 concept MaskedProgram = kIdempotentGatherV<P> &&
     requires(const P p, const Edge e, const typename P::State cs,
-             typename P::Update u) {
+             typename P::Update u, std::uint64_t mask, std::uint32_t mark) {
       { p.frontier_mask(cs) } -> std::same_as<std::uint64_t>;
       { p.seen_mask(cs) } -> std::same_as<std::uint64_t>;
+      { p.round_mark(cs) } -> std::same_as<std::uint32_t>;
       { p.full_mask() } -> std::same_as<std::uint64_t>;
       { p.pull_masked(e, std::uint32_t{}, std::uint64_t{}, u) }
           -> std::same_as<bool>;
+      { p.scatter_masked(e, mask, mark, u) } -> std::same_as<bool>;
+      { p.gather_masks(std::as_const(u), mask, mask, mark) }
+          -> std::same_as<std::uint64_t>;
     };
 
 /// Deterministic per-edge weight in [1, 2): SSSP needs weights, edge

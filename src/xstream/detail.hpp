@@ -4,6 +4,9 @@
 // FastBFS trimming engine) execute the same synchronous rounds over the
 // same on-device layout: per-partition state files, per-partition
 // update streams shuffled in place, a final id-order state collection.
+// (core::run's masked programs keep their round state resident instead
+// — see MaskStateTracker — and the same gather/collect functions take
+// that path when handed the tracker.)
 // Everything the two loops share verbatim — the init pass, the update
 // fan-out, the gather (+ apply) phase, record stream helpers, file
 // naming, per-round stats — lives here, so the engines differ only in
@@ -52,6 +55,10 @@ std::string state_file_name(const graph::PartitionedGraph& pg,
                             std::uint32_t p);
 std::string update_file_name(const graph::PartitionedGraph& pg,
                              std::uint32_t p);
+/// Round `round`'s update file of partition p, kept for collect's
+/// replay when rounds run on a MaskStateTracker.
+std::string round_update_file_name(const graph::PartitionedGraph& pg,
+                                   std::uint32_t p, std::uint32_t round);
 
 namespace detail {
 
@@ -76,38 +83,71 @@ void write_records(io::Device& device, const std::string& name,
   writer.close();
 }
 
-/// State-observer hook of init_partition_states / gather_partitions:
-/// the default observes nothing and costs nothing (the hook is guarded
-/// by `if constexpr` on the observer type, so non-masked instantiations
-/// compile exactly as before).
+/// State-observer hook of init_partition_states: the default observes
+/// nothing and costs nothing (the hook is guarded by `if constexpr` on
+/// the observer type, so non-masked instantiations compile exactly as
+/// before).
 struct NoStateObserver {};
 
-/// Engine-side mirror of a masked program's per-vertex masks
-/// (graph::MaskedProgram — MultiBfs). The engines keep vertex State on
-/// device between phases, but trimming, bottom-up claiming, and the
-/// direction model need O(1) access to every vertex's seen/frontier
-/// mask each round; the tracker shadows them in flat arrays, refreshed
-/// by the observer hook whenever a partition's states are (re)written.
-/// Observed partitions cover disjoint vertex ranges, so concurrent
-/// observe_range calls (the partition-parallel init and gather passes)
-/// never touch the same slot; `saturated` is the trim/claim bitmap — a
-/// vertex every query has seen can never gather anything new, its
-/// out-edges are dead and bottom-up rounds skip its in-edge runs.
-/// Saturation is monotone, so bits are only ever added.
+/// Streams partition q's update file `name` through the codec reader,
+/// CHECKs that every record is addressed into q, and hands it to
+/// `fold`. Returns the records delivered.
+template <typename Update, typename Fold>
+std::uint64_t for_each_routed_update(const graph::PartitionedGraph& pg,
+                                     io::Device& device,
+                                     const std::string& name, std::uint32_t q,
+                                     const io::ReaderOptions& reader,
+                                     Fold&& fold) {
+  auto updates = io::codec::open_reader<Update>(device, name, reader);
+  std::uint64_t delivered = 0;
+  for (auto batch = updates->next_batch(); !batch.empty();
+       batch = updates->next_batch()) {
+    for (const Update& u : batch) {
+      FB_CHECK_MSG(pg.layout.owner(u.dst) == q,
+                   "update target " << u.dst << " misrouted into partition "
+                                    << q << " of " << pg.meta.name);
+      fold(u);
+    }
+    delivered += batch.size();
+  }
+  return delivered;
+}
+
+/// core::run's resident round state for a masked program
+/// (graph::MaskedProgram — MultiBfs): the {seen, frontier, mark} head of
+/// every vertex's State in flat arrays, plus the saturation bitmap.
+/// Rounds run on these alone — a top-down scatter emits from them
+/// (scatter), gather folds the round's update files into them (fold) —
+/// so no State file is read or written between init and collect;
+/// trimming, bottom-up claiming and the direction model read the same
+/// arrays. `saturated` is the trim/claim bitmap: a vertex every query
+/// has seen can never gather anything new, its out-edges are dead and
+/// bottom-up rounds skip its in-edge runs. Saturation is monotone, so
+/// bits are only ever added.
 ///
-/// Partitions gather_partitions skips (no pending updates) keep stale
-/// mirror entries — exactly: their states did not change.
+/// gather_partitions keeps each round's update files under
+/// round_update_file_name and logs their record counts in
+/// `round_updates`; collect_states rebuilds the full States from the
+/// init state files by replaying those files in round order through
+/// program.gather. Partitions cover disjoint vertex ranges, so the
+/// partition-parallel init (observe_range) and gather (fold) tasks
+/// never touch the same slot.
 template <graph::GraphProgram P>
 struct MaskStateTracker {
   const P& program;
   std::vector<std::uint64_t> frontier;
   std::vector<std::uint64_t> seen;
+  std::vector<std::uint32_t> mark;
   AtomicBitmap saturated;
+  /// round_updates[r][q]: records round r's kept update file of
+  /// partition q holds (0: no file kept).
+  std::vector<std::vector<std::uint64_t>> round_updates;
 
   MaskStateTracker(const P& program, std::uint64_t num_vertices)
       : program(program),
         frontier(num_vertices, 0),
         seen(num_vertices, 0),
+        mark(num_vertices, 0),
         saturated(num_vertices) {}
 
   void observe_range(graph::VertexId begin,
@@ -117,8 +157,25 @@ struct MaskStateTracker {
       const std::uint64_t v = begin + i;
       frontier[v] = program.frontier_mask(states[i]);
       seen[v] = program.seen_mask(states[i]);
+      mark[v] = program.round_mark(states[i]);
       if (seen[v] == full) saturated.set(v);
     }
+  }
+
+  /// The top-down scatter source: an active vertex's head is its
+  /// round's frontier.
+  bool scatter(const graph::Edge& e, typename P::Update& out) const {
+    return program.scatter_masked(e, frontier[e.src], mark[e.src], out);
+  }
+
+  /// gather() on the resident head; true iff u brought fresh bits.
+  bool fold(const typename P::Update& u) {
+    const graph::VertexId v = u.dst;
+    if (program.gather_masks(u, seen[v], frontier[v], mark[v]) == 0) {
+      return false;
+    }
+    if (seen[v] == program.full_mask()) saturated.set(v);
+    return true;
   }
 
   struct RoundMasks {
@@ -142,6 +199,19 @@ struct MaskStateTracker {
       }
     }
     return out;
+  }
+};
+
+/// The top-down scatter source of a partition whose States were loaded
+/// from its state file; MaskStateTracker is the resident alternative.
+template <graph::GraphProgram P>
+struct StateSource {
+  const P& program;
+  std::span<const typename P::State> states;
+  graph::VertexId begin;
+
+  bool scatter(const graph::Edge& e, typename P::Update& out) const {
+    return program.scatter(e, states[e.src - begin], out);
   }
 };
 
@@ -350,17 +420,18 @@ struct ScatterStage {
     bucket.push_back(u);
   }
 
-  /// Scatter `batch` into the buckets and show every edge to `trim`.
-  template <typename TrimSink>
-  void process(std::span<const graph::Edge> batch, graph::VertexId part_begin,
-               const std::vector<typename P::State>& states,
+  /// Scatter `batch` into the buckets — each active source's update
+  /// comes from `source` (StateSource or MaskStateTracker) — and show
+  /// every edge to `trim`.
+  template <typename Source, typename TrimSink>
+  void process(std::span<const graph::Edge> batch, const Source& source,
                const AtomicBitmap& active, TrimSink& trim,
                typename TrimSink::ChunkState& chunk) {
     for (const graph::Edge& e : batch) {
       const bool src_active = P::kScatterAllVertices || active.test(e.src);
       if (src_active) {
         Update u;
-        if (program.scatter(e, states[e.src - part_begin], u)) {
+        if (source.scatter(e, u)) {
           stage(u);
         } else {
           ++sieved;
@@ -411,9 +482,9 @@ inline std::uint64_t read_group_size(const io::Device& device,
 
 /// One partition's scatter: scans `num_records` edges from
 /// `input_name` starting at byte `base_offset` (0 for headerless edge
-/// partition files, codec::kHeaderBytes for raw codec streams), runs
-/// program.scatter for every active-source edge (or every edge, for
-/// kScatterAllVertices programs), routes emitted updates into the
+/// partition files, codec::kHeaderBytes for raw codec streams), asks
+/// `source` for the update of every active-source edge (or every edge,
+/// for kScatterAllVertices programs), routes emitted updates into the
 /// fan-out — sieving dominated duplicates at the staging buffers when
 /// `sieve_updates` and the program allows — and shows every edge + its
 /// activity to `trim`.
@@ -437,13 +508,12 @@ inline std::uint64_t read_group_size(const io::Device& device,
 /// only sees its own updates, in scan order, and survivors append in
 /// scan order too, update files and stay files are byte-identical at
 /// every thread count.
-template <graph::GraphProgram P, typename TrimSink>
+template <graph::GraphProgram P, typename Source, typename TrimSink>
 ScatterResult scatter_partition(
     const ExecContext& exec, io::Device& input_dev,
     const std::string& input_name, std::uint64_t base_offset,
     std::uint64_t num_records, const graph::PartitionLayout& layout,
-    graph::VertexId part_begin, const std::vector<typename P::State>& states,
-    const AtomicBitmap& active, const P& program,
+    const Source& source, const AtomicBitmap& active, const P& program,
     const io::ReaderOptions& reader, bool sieve_updates,
     UpdateFanout<typename P::Update>& fanout, TrimSink& trim,
     metrics::Collector* collector = nullptr) {
@@ -462,7 +532,7 @@ ScatterResult scatter_partition(
     for (auto batch = edges->next_batch(); !batch.empty();
          batch = edges->next_batch()) {
       scanned += batch.size();
-      stage.process(batch, part_begin, states, active, trim, chunk);
+      stage.process(batch, source, active, trim, chunk);
       {
         metrics::ScopedPhase flush_timer(collector,
                                          metrics::Phase::kShuffleFlush);
@@ -547,8 +617,8 @@ ScatterResult scatter_partition(
         ScatterStage<P> stage(program, layout, sieve_updates);
         auto chunk = trim.make_chunk_state();
         try {
-          stage.process(std::span<const graph::Edge>(buffers[k]), part_begin,
-                        states, active, trim, chunk);
+          stage.process(std::span<const graph::Edge>(buffers[k]), source,
+                        active, trim, chunk);
         } catch (...) {
           abandon_from(c);
           throw;
@@ -589,12 +659,11 @@ ScatterResult scatter_partition(
 /// exactly: serial slices and parallel chunks are both
 /// `reader.buffer_bytes / sizeof(Edge)` records, and parallel chunks
 /// retire through the same ordered hand-off.
-template <graph::GraphProgram P, typename TrimSink>
+template <graph::GraphProgram P, typename Source, typename TrimSink>
 ScatterResult scatter_span(
     const ExecContext& exec, std::span<const graph::Edge> edges,
-    const graph::PartitionLayout& layout, graph::VertexId part_begin,
-    const std::vector<typename P::State>& states, const AtomicBitmap& active,
-    const P& program, const io::ReaderOptions& reader, bool sieve_updates,
+    const graph::PartitionLayout& layout, const Source& source,
+    const AtomicBitmap& active, const P& program, const io::ReaderOptions& reader, bool sieve_updates,
     UpdateFanout<typename P::Update>& fanout, TrimSink& trim,
     metrics::Collector* collector = nullptr) {
   const std::uint64_t num_records = edges.size();
@@ -608,8 +677,8 @@ ScatterResult scatter_span(
          first += chunk_records) {
       const std::uint64_t count =
           std::min(chunk_records, num_records - first);
-      stage.process(edges.subspan(first, count), part_begin, states, active,
-                    trim, chunk);
+      stage.process(edges.subspan(first, count), source, active, trim,
+                    chunk);
       {
         metrics::ScopedPhase flush_timer(collector,
                                          metrics::Phase::kShuffleFlush);
@@ -640,8 +709,8 @@ ScatterResult scatter_span(
       ScatterStage<P> stage(program, layout, sieve_updates);
       auto chunk = trim.make_chunk_state();
       try {
-        stage.process(edges.subspan(first, count), part_begin, states, active,
-                      trim, chunk);
+        stage.process(edges.subspan(first, count), source, active, trim,
+                      chunk);
       } catch (...) {
         gate.wait_turn(c);
         gate.complete(c);
@@ -979,11 +1048,13 @@ ScatterResult pull_partition(
 /// in file order. Up to `threads` partitions' states are resident at
 /// once.
 ///
-/// `observer` (masked programs — see MaskStateTracker) sees each
-/// touched partition's states after gather + apply, from that
-/// partition's task; skipped partitions keep their previous (still
-/// accurate) mirror entries.
-template <graph::GraphProgram P, typename Observer = NoStateObserver>
+/// With a `resident` tracker (core::run's masked programs) a task
+/// instead folds the update file into the tracker's mask head
+/// (MaskStateTracker::fold) — no state file is read or written — and
+/// keeps the file under round_update_file_name for collect_states'
+/// replay, logging the round's per-partition record counts in
+/// `resident->round_updates`.
+template <graph::GraphProgram P>
 void gather_partitions(const graph::PartitionedGraph& pg,
                        const io::StoragePlan& plan,
                        const io::ReaderOptions& reader,
@@ -991,13 +1062,35 @@ void gather_partitions(const graph::PartitionedGraph& pg,
                        const std::vector<std::uint64_t>& pending_updates,
                        AtomicBitmap& next_active, const ExecContext& exec = {},
                        metrics::Collector* collector = nullptr,
-                       Observer* observer = nullptr) {
+                       MaskStateTracker<P>* resident = nullptr) {
   using State = typename P::State;
   using Update = typename P::Update;
   const graph::PartitionLayout& layout = pg.layout;
   std::vector<std::uint32_t> todo;
   for (std::uint32_t q = 0; q < layout.num_partitions(); ++q) {
     if (pending_updates[q] > 0 || P::kNeedsApply) todo.push_back(q);
+  }
+  if constexpr (graph::MaskedProgram<P>) {
+    if (resident != nullptr) {
+      static_assert(!P::kNeedsApply, "resident rounds have no apply pass");
+      const auto round =
+          static_cast<std::uint32_t>(resident->round_updates.size());
+      resident->round_updates.push_back(pending_updates);
+      for_each_task(exec, todo.size(), [&](std::uint64_t t) {
+        const std::uint32_t q = todo[t];
+        const std::string name = update_file_name(pg, q);
+        {
+          metrics::ScopedPhase gather_timer(collector,
+                                            metrics::Phase::kGather);
+          for_each_routed_update<Update>(
+              pg, plan.updates(), name, q, reader, [&](const Update& u) {
+                if (resident->fold(u)) next_active.set(u.dst);
+              });
+        }
+        plan.updates().rename(name, round_update_file_name(pg, q, round));
+      });
+      return;
+    }
   }
   for_each_task(exec, todo.size(), [&](std::uint64_t t) {
     const std::uint32_t q = todo[t];
@@ -1006,20 +1099,13 @@ void gather_partitions(const graph::PartitionedGraph& pg,
         plan.state(), state_file_name(pg, q), reader, layout.size(q));
     if (pending_updates[q] > 0) {
       metrics::ScopedPhase gather_timer(collector, metrics::Phase::kGather);
-      auto updates = io::codec::open_reader<Update>(
-          plan.updates(), update_file_name(pg, q), reader);
-      for (auto batch = updates->next_batch(); !batch.empty();
-           batch = updates->next_batch()) {
-        for (const Update& u : batch) {
-          FB_CHECK_MSG(layout.owner(u.dst) == q,
-                       "update target " << u.dst
-                                        << " misrouted into partition " << q
-                                        << " of " << pg.meta.name);
-          if (program.gather(u, states[u.dst - begin])) {
-            next_active.set(u.dst);
-          }
-        }
-      }
+      for_each_routed_update<Update>(
+          pg, plan.updates(), update_file_name(pg, q), q, reader,
+          [&](const Update& u) {
+            if (program.gather(u, states[u.dst - begin])) {
+              next_active.set(u.dst);
+            }
+          });
     }
     if constexpr (P::kNeedsApply) {
       metrics::ScopedPhase apply_timer(collector, metrics::Phase::kApply);
@@ -1029,21 +1115,24 @@ void gather_partitions(const graph::PartitionedGraph& pg,
     }
     write_records<State>(plan.state(), state_file_name(pg, q), states,
                          write_buffer_bytes);
-    if constexpr (!std::is_same_v<Observer, NoStateObserver>) {
-      if (observer != nullptr) {
-        observer->observe_range(begin, std::span<const State>(states));
-      }
-    }
   });
 }
 
 /// Reads the final per-partition state files back in id order: one
 /// task per partition decodes straight into its slice of the pre-sized
 /// result.
+///
+/// With a `resident` tracker the state files still hold the init
+/// States, so each task then replays its partition's kept round update
+/// files, in round order, through program.gather (routing CHECKed on
+/// every record, each file's count checked against the round log) —
+/// exactly the records, order and fold a state-file gather would have
+/// applied, so the States come out byte-identical.
 template <graph::GraphProgram P>
 std::vector<typename P::State> collect_states(
     const graph::PartitionedGraph& pg, const io::StoragePlan& plan,
-    const io::ReaderOptions& reader, const ExecContext& exec) {
+    const io::ReaderOptions& reader, const ExecContext& exec,
+    const MaskStateTracker<P>* resident = nullptr) {
   using State = typename P::State;
   const graph::PartitionLayout& layout = pg.layout;
   std::vector<State> out(layout.num_vertices());
@@ -1063,13 +1152,34 @@ std::vector<typename P::State> collect_states(
     FB_CHECK_MSG(got == slice.size(), name << " decodes to " << got
                                            << " states, expected "
                                            << slice.size());
+    if constexpr (graph::MaskedProgram<P>) {
+      if (resident == nullptr) return;
+      const graph::VertexId begin = layout.begin(q);
+      for (std::uint32_t r = 0; r < resident->round_updates.size(); ++r) {
+        const std::uint64_t expected = resident->round_updates[r][q];
+        if (expected == 0) continue;
+        const std::string round_name = round_update_file_name(pg, q, r);
+        const std::uint64_t replayed = for_each_routed_update<
+            typename P::Update>(
+            pg, plan.updates(), round_name, q, reader,
+            [&](const typename P::Update& u) {
+              resident->program.gather(u, slice[u.dst - begin]);
+            });
+        FB_CHECK_MSG(replayed == expected,
+                     round_name << " replays " << replayed
+                                << " updates, round " << r << " gathered "
+                                << expected);
+      }
+    }
   });
   return out;
 }
 
-/// Removes the run's state and update files from their role devices.
-void remove_run_files(const graph::PartitionedGraph& pg,
-                      const io::StoragePlan& plan);
+/// Removes the run's state and update files from their role devices,
+/// including the round update files `round_updates` logs as kept.
+void remove_run_files(
+    const graph::PartitionedGraph& pg, const io::StoragePlan& plan,
+    const std::vector<std::vector<std::uint64_t>>& round_updates = {});
 
 }  // namespace detail
 }  // namespace fbfs::xstream

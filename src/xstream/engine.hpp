@@ -135,9 +135,10 @@ RunResult<P> run(const graph::PartitionedGraph& pg,
             layout.size(p));
         const detail::ScatterResult scattered = detail::scatter_partition<P>(
             exec, plan.edges(), pg.partition_file(p), /*base_offset=*/0,
-            pg.edges_per_partition[p], layout, layout.begin(p), states,
-            active, program, options.reader, options.sieve_updates, fanout,
-            no_trim, collector);
+            pg.edges_per_partition[p], layout,
+            detail::StateSource<P>{program, states, layout.begin(p)}, active,
+            program, options.reader, options.sieve_updates, fanout, no_trim,
+            collector);
         FB_CHECK_MSG(scattered.scanned == pg.edges_per_partition[p],
                      pg.partition_file(p)
                          << " scanned " << scattered.scanned

@@ -268,6 +268,18 @@ TEST(BackendEquivalence, SmallBuffersRunBatchAcrossBackends) {
     }
     expect_identical(art[0], art[1]);
     EXPECT_GT(art[0].bottomup_rounds, 0u) << "the masked pull never ran";
+    // keep_files leaves the masked run's per-round update files, and
+    // the compare above covered them byte for byte.
+    std::uint32_t round_files = 0;
+    for (const auto& [name, bytes] : art[0].files) {
+      const std::size_t upd = name.find(".upd");
+      if (upd != std::string::npos &&
+          name.find(".r", upd) != std::string::npos) {
+        EXPECT_FALSE(bytes.empty()) << name;
+        ++round_files;
+      }
+    }
+    EXPECT_GE(round_files, art[0].iterations) << "no kept round files";
   }
 }
 

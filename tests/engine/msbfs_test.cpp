@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "common/temp_dir.hpp"
 #include "graph/generators.hpp"
 #include "graph/multi_bfs.hpp"
+#include "xstream/detail.hpp"
 
 namespace fbfs {
 namespace {
@@ -344,6 +346,116 @@ TEST_F(BatchEquivalence, WideSourceListsSplitAcrossTraversals) {
       {.max_width = 24});
   EXPECT_EQ(batch.traversals.size(), 3u);
   expect_queries_match(g, batch, g.sources.size());
+}
+
+// Core's masked rounds run on the resident mask tracker: no State byte
+// moves between the init write and the collect read, and collect's
+// replay of the kept round files rebuilds States byte-identical to
+// xstream::run's per-round state-file gather and to inmem.
+TEST_F(BatchEquivalence, CoreRoundsMoveNoStateBytes) {
+  for (const std::size_t gi : {std::size_t{0}, std::size_t{2}}) {
+    const TestGraph& g = (*graphs_)[gi];
+    io::Device state_dev(dir_->str() + "/state_" + g.name,
+                         io::DeviceModel::unthrottled());
+    const io::StoragePlan plan =
+        io::StoragePlan::single(*dev_).assign(io::Role::kState, state_dev);
+    Msbfs program;
+    program.width = graph::kMaxBatchQueries;
+    std::copy(g.sources.begin(), g.sources.end(), program.roots.begin());
+    const std::vector<Msbfs::State> inmem =
+        engine::run(Kind::kInmem, g.pg, plan, program).states;
+    const std::vector<Msbfs::State> xstream =
+        engine::run(Kind::kXstream, g.pg, plan, program).states;
+    ASSERT_EQ(std::memcmp(inmem.data(), xstream.data(),
+                          inmem.size() * sizeof(Msbfs::State)),
+              0);
+    // One state file per partition: codec header + the partition's States.
+    std::uint64_t state_file_bytes = 0;
+    for (std::uint32_t q = 0; q < g.pg.layout.num_partitions(); ++q) {
+      state_file_bytes += io::codec::kHeaderBytes +
+                          g.pg.layout.size(q) * sizeof(Msbfs::State);
+    }
+    for (const std::uint32_t threads : {1u, 4u}) {
+      for (const bool trim : {false, true}) {
+        for (const Direction direction :
+             {Direction::kTopDown, Direction::kAuto}) {
+          for (const bool coded : {false, true}) {
+            SCOPED_TRACE(g.name + " threads=" + std::to_string(threads) +
+                         " trim=" + std::to_string(trim) + " dir=" +
+                         engine::to_string(direction) +
+                         (coded ? " auto+sieve" : " raw"));
+            engine::Options options = matrix_options(threads, trim, direction);
+            options.sieve_updates = coded;
+            options.update_codec =
+                coded ? io::codec::Policy::kAuto : io::codec::Policy::kRaw;
+            const io::IoStatsSnapshot before = state_dev.stats().snapshot();
+            const auto run = engine::run(Kind::kCore, g.pg, plan, program,
+                                         options);
+            const io::IoStatsSnapshot moved =
+                state_dev.stats().snapshot().delta(before);
+            ASSERT_GT(run.iterations, 1u);
+            for (const metrics::IterationStats& row : run.per_iteration) {
+              EXPECT_EQ(row.role_io(io::Role::kState).bytes_read, 0u)
+                  << "round " << row.iteration;
+              EXPECT_EQ(row.role_io(io::Role::kState).bytes_written, 0u)
+                  << "round " << row.iteration;
+            }
+            EXPECT_EQ(moved.bytes_written, state_file_bytes);
+            EXPECT_EQ(moved.bytes_read, state_file_bytes);
+            ASSERT_EQ(run.states.size(), inmem.size());
+            EXPECT_EQ(std::memcmp(run.states.data(), xstream.data(),
+                                  xstream.size() * sizeof(Msbfs::State)),
+                      0);
+            for (std::uint32_t b = 0; b < program.width; ++b) {
+              const auto got = program.unpack_query(
+                  b, std::span<const Msbfs::State>(run.states));
+              ASSERT_EQ(std::memcmp(got.data(), g.reference[b].data(),
+                                    got.size() * sizeof(BfsProgram::State)),
+                        0)
+                  << "query " << b;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(BatchEquivalence, KeptRoundFilesRemainOnlyWithKeepFiles) {
+  const TestGraph& g = (*graphs_)[0];
+  // The run's own files (states, updates, stays) on a device of their
+  // own, so its listing shows exactly what a run leaves behind.
+  io::Device run_dev(dir_->str() + "/kept_rounds",
+                     io::DeviceModel::unthrottled());
+  const io::StoragePlan plan = io::StoragePlan::single(*dev_)
+                                   .assign(io::Role::kState, run_dev)
+                                   .assign(io::Role::kUpdates, run_dev)
+                                   .assign(io::Role::kStay, run_dev);
+  Msbfs program;
+  program.width = 7;
+  std::copy_n(g.sources.begin(), 7, program.roots.begin());
+  const auto round_files = [&](std::uint32_t round) {
+    std::uint32_t found = 0;
+    for (std::uint32_t q = 0; q < g.pg.layout.num_partitions(); ++q) {
+      found += run_dev.exists(xstream::round_update_file_name(g.pg, q, round));
+    }
+    return found;
+  };
+
+  const engine::Options scrub =
+      matrix_options(2, /*trim=*/true, Direction::kTopDown);
+  const auto scrubbed = engine::run(Kind::kCore, g.pg, plan, program, scrub);
+  EXPECT_TRUE(run_dev.list_files().empty());
+
+  engine::Options keep = scrub;
+  keep.keep_files = true;
+  const auto kept = engine::run(Kind::kCore, g.pg, plan, program, keep);
+  ASSERT_EQ(kept.iterations, scrubbed.iterations);
+  // Every gathered round kept a file for each partition it updated.
+  for (std::uint32_t r = 0; r < kept.iterations; ++r) {
+    EXPECT_GT(round_files(r), 0u) << "round " << r;
+  }
+  EXPECT_EQ(round_files(kept.iterations), 0u);
 }
 
 }  // namespace

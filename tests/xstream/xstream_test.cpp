@@ -14,6 +14,7 @@
 #include "common/temp_dir.hpp"
 #include "common/thread_pool.hpp"
 #include "graph/generators.hpp"
+#include "graph/multi_bfs.hpp"
 
 namespace fbfs::xstream {
 namespace {
@@ -262,6 +263,41 @@ TEST(XStreamDeath, PartitionParallelGatherStillChecksRouting) {
   EXPECT_DEATH(detail::gather_partitions(pg, plan, io::ReaderOptions{},
                                          1 << 12, program, pending,
                                          next_active, exec),
+               "update target 0 misrouted into partition 2");
+}
+
+TEST(XStreamDeath, CollectReplayChecksRouting) {
+  // A masked run's collect rebuilds States by replaying the kept round
+  // update files; the replay checks routing exactly as gather does.
+  // Plant an update addressed into partition 0 in partition 2's kept
+  // round-0 file and collect at T=4.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  TempDir dir("xstream");
+  io::Device dev(dir.str(), io::DeviceModel::unthrottled());
+  const GraphMeta meta = chain_graph(dev, 20);
+  const io::StoragePlan plan = io::StoragePlan::single(dev);
+  const PartitionedGraph pg = partition_edge_list(plan, meta, 4);
+  using Msbfs = graph::MultiBfs<>;
+  Msbfs program;
+  program.width = 1;
+  program.roots[0] = 0;
+  ThreadPool pool(4);
+  const ExecContext exec{&pool};
+  AtomicBitmap active(20);
+  detail::MaskStateTracker<Msbfs> tracker(program, 20);
+  detail::init_partition_states(pg, plan, io::ReaderOptions{}, 1 << 12,
+                                program, active, exec, &tracker);
+
+  tracker.round_updates.assign(1, std::vector<std::uint64_t>(4, 0));
+  for (std::uint32_t q = 0; q < 4; ++q) {
+    std::vector<Msbfs::Update> updates = {{pg.layout.begin(q), 1, 1}};
+    if (q == 2) updates.push_back({pg.layout.begin(0), 1, 1});
+    detail::write_records<Msbfs::Update>(
+        dev, round_update_file_name(pg, q, 0), updates, 1 << 12);
+    tracker.round_updates[0][q] = updates.size();
+  }
+  EXPECT_DEATH(detail::collect_states<Msbfs>(pg, plan, io::ReaderOptions{},
+                                             exec, &tracker),
                "update target 0 misrouted into partition 2");
 }
 
