@@ -5,11 +5,10 @@
 #include <utility>
 
 #include "common/check.hpp"
-#include "core/engine.hpp"
+#include "engine/api.hpp"
 #include "graph/multi_bfs.hpp"
 #include "inmem/engine.hpp"
 #include "storage/storage_plan.hpp"
-#include "xstream/engine.hpp"
 
 namespace fbfs::bench {
 
@@ -108,25 +107,20 @@ metrics::RunStats run_bfs(const Dataset& ds, const SystemOptions& options) {
 
   metrics::Collector collector(options.collector);
   const BfsProgram program{.root = ds.bfs_root};
-  std::vector<BfsProgram::State> states;
-  if (options.fastbfs) {
-    core::EngineOptions engine;
-    engine.num_threads = options.num_threads;
-    engine.trim_min_dead_fraction = options.trim_min_dead_fraction;
-    engine.update_codec = options.update_codec;
-    engine.stay_codec = options.update_codec;
-    engine.sieve_updates = options.sieve_updates;
-    engine.direction = options.direction;
-    engine.collector = &collector;
-    states = core::run(ds.pg, plan, program, engine).states;
-  } else {
-    xstream::EngineOptions engine;
-    engine.num_threads = options.num_threads;
-    engine.update_codec = options.update_codec;
-    engine.sieve_updates = options.sieve_updates;
-    engine.collector = &collector;
-    states = xstream::run(ds.pg, plan, program, engine).states;
-  }
+  // The baseline kind ignores the trim and direction fields (its
+  // preset forces them off), so one Options serves both systems.
+  engine::Options engine;
+  engine.num_threads = options.num_threads;
+  engine.trim_min_dead_fraction = options.trim_min_dead_fraction;
+  engine.update_codec = options.update_codec;
+  engine.stay_codec = options.update_codec;
+  engine.sieve_updates = options.sieve_updates;
+  engine.direction = options.direction;
+  engine.collector = &collector;
+  const engine::Kind kind =
+      options.fastbfs ? engine::Kind::kCore : engine::Kind::kXstream;
+  const std::vector<BfsProgram::State> states =
+      engine::run(kind, ds.pg, plan, program, engine).states;
 
   FB_CHECK_MSG(states.size() == ds.reference.size() &&
                    std::memcmp(states.data(), ds.reference.data(),

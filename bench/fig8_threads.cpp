@@ -38,11 +38,10 @@
 #include "common/log.hpp"
 #include "common/stopwatch.hpp"
 #include "common/temp_dir.hpp"
-#include "core/engine.hpp"
+#include "engine/api.hpp"
 #include "graph/generators.hpp"
 #include "graph/partitioner.hpp"
 #include "inmem/engine.hpp"
-#include "xstream/engine.hpp"
 
 namespace {
 
@@ -94,13 +93,12 @@ void check_states(const Dataset& ds, const std::string& label,
                      << " diverged from the in-memory reference");
 }
 
-RunStats run_xstream(const Dataset& ds, const io::StoragePlan& plan,
-                     const io::ReaderOptions& reader, std::uint32_t threads) {
-  xstream::EngineOptions options;
-  options.reader = reader;
-  options.num_threads = threads;
+/// One timed BFS run through `kind`, checked against the reference.
+RunStats run_bfs(const Dataset& ds, const io::StoragePlan& plan,
+                 engine::Kind kind, const engine::Options& options) {
   Stopwatch sw;
-  const auto result = xstream::run(ds.pg, plan, BfsProgram{.root = 0}, options);
+  const auto result =
+      engine::run(kind, ds.pg, plan, BfsProgram{.root = 0}, options);
   RunStats stats;
   stats.wall_seconds = sw.seconds();
   stats.iterations = result.iterations;
@@ -108,22 +106,9 @@ RunStats run_xstream(const Dataset& ds, const io::StoragePlan& plan,
     stats.scatter_seconds += it.scatter_seconds;
     stats.gather_seconds += it.gather_seconds;
   }
-  check_states(ds, "xstream T=" + std::to_string(threads), result.states);
-  return stats;
-}
-
-RunStats run_core(const Dataset& ds, const io::StoragePlan& plan,
-                  const core::EngineOptions& options) {
-  Stopwatch sw;
-  const auto result = core::run(ds.pg, plan, BfsProgram{.root = 0}, options);
-  RunStats stats;
-  stats.wall_seconds = sw.seconds();
-  stats.iterations = result.iterations;
-  for (const auto& it : result.per_iteration) {
-    stats.scatter_seconds += it.scatter_seconds;
-    stats.gather_seconds += it.gather_seconds;
-  }
-  check_states(ds, "core T=" + std::to_string(options.num_threads),
+  check_states(ds,
+               std::string(engine::to_string(kind)) + " T=" +
+                   std::to_string(options.num_threads),
                result.states);
   return stats;
 }
@@ -138,11 +123,13 @@ void part_a(Json& json, const Dataset& ds) {
   for (const std::uint32_t threads : {1u, 2u, 4u, 8u}) {
     io::Device disk(ds.root + "/edges", io::DeviceModel::hdd());
     const io::StoragePlan plan = io::StoragePlan::single(disk);
-    const RunStats xs = run_xstream(ds, plan, io::ReaderOptions::plain(),
-                                    threads);
-    core::EngineOptions fb_options;
+    engine::Options xs_options;
+    xs_options.reader = io::ReaderOptions::plain();
+    xs_options.num_threads = threads;
+    const RunStats xs = run_bfs(ds, plan, engine::Kind::kXstream, xs_options);
+    engine::Options fb_options;
     fb_options.num_threads = threads;
-    const RunStats fb = run_core(ds, plan, fb_options);
+    const RunStats fb = run_bfs(ds, plan, engine::Kind::kCore, fb_options);
     std::printf("  %7u %12.3f %12.3f\n", threads, xs.wall_seconds,
                 fb.wall_seconds);
     json.open("t" + std::to_string(threads));
@@ -191,8 +178,8 @@ double calibrate_compute_mb_s(std::uint32_t partitions) {
 }
 
 struct PartBConfig {
-  std::string key;    // json section
-  bool use_core = false;
+  std::string key;  // json section
+  engine::Kind kind = engine::Kind::kXstream;
   bool trim = false;  // core only
 };
 
@@ -237,9 +224,9 @@ void part_b(Json& json, const Dataset& ds, std::size_t chunk_bytes,
 
   const io::ReaderOptions reader = io::ReaderOptions::plain(chunk_bytes);
   const std::vector<PartBConfig> configs = {
-      {"xstream", false, false},
-      {"fastbfs_no_trim", true, false},
-      {"fastbfs_trim", true, true},
+      {"xstream", engine::Kind::kXstream, false},
+      {"fastbfs_no_trim", engine::Kind::kCore, false},
+      {"fastbfs_trim", engine::Kind::kCore, true},
   };
   std::vector<double> scatter_t1(configs.size(), 0.0);
   std::vector<double> scatter_t4(configs.size(), 0.0);
@@ -255,16 +242,11 @@ void part_b(Json& json, const Dataset& ds, std::size_t chunk_bytes,
                                        .assign(io::Role::kState, state)
                                        .assign(io::Role::kUpdates, updates)
                                        .assign(io::Role::kStay, stay);
-      RunStats s;
-      if (cfg.use_core) {
-        core::EngineOptions options;
-        options.reader = reader;
-        options.num_threads = threads;
-        options.trim = cfg.trim;
-        s = run_core(ds, plan, options);
-      } else {
-        s = run_xstream(ds, plan, reader, threads);
-      }
+      engine::Options options;
+      options.reader = reader;
+      options.num_threads = threads;
+      options.trim = cfg.trim;
+      const RunStats s = run_bfs(ds, plan, cfg.kind, options);
       std::printf("  %-16s %7u %12.3f %12.3f %10u\n", cfg.key.c_str(),
                   threads, s.scatter_seconds, s.wall_seconds, s.iterations);
       if (threads == 1) scatter_t1[i] = s.scatter_seconds;

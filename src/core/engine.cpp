@@ -4,16 +4,6 @@
 
 namespace fbfs::core {
 
-EngineOptions engine_options_from_config(const Config& config) {
-  return engine::options_from_config(config, engine::Kind::kCore);
-}
-
-std::uint32_t partition_count_from_config(const Config& config,
-                                          std::uint32_t fallback) {
-  return engine::partition_count_from_config(config, engine::Kind::kCore,
-                                             fallback);
-}
-
 std::string stay_file_name(const graph::PartitionedGraph& pg,
                            std::uint32_t p) {
   return pg.meta.name + ".P" +

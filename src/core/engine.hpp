@@ -1,5 +1,6 @@
-// The FastBFS engine (ROADMAP item 1): the streaming scatter/gather
-// loop of xstream::run plus the paper's §II-C mechanisms —
+// The streaming engine: X-Stream's scatter/gather loop over on-disk
+// partitions (state files, update streams shuffled in place) plus the
+// paper's §II-C mechanisms —
 //
 //   edge trimming       during a partition's scatter scan, edges whose
 //                       source is in the frontier emit their update and
@@ -23,15 +24,18 @@
 //                       fraction observed in the partition's previous
 //                       scan >= trim_min_dead_fraction;
 //   selective scheduling partitions whose vertex range received no
-//                       gather update are skipped outright (shared
-//                       with xstream via AtomicBitmap::any_in_range).
+//                       gather update are skipped outright
+//                       (AtomicBitmap::any_in_range).
 //
-// Trimming applies only to programs declaring kTrimmable (BFS — see
-// program.hpp for the licence); for the rest core::run degrades to the
-// untrimmed loop and stays bit-identical to xstream::run/inmem::run by
-// construction. Deadness is engine-level: `retired` accumulates every
-// past frontier, and an edge survives iff its source is neither active
-// nor retired — no peeking into program State.
+// The X-Stream baseline is this loop with trimming and direction
+// switching off (engine::run applies that preset for Kind::kXstream);
+// its scatter then runs the no-op NullTrimSink, so the baseline pays
+// for no trim work. Trimming applies only to programs declaring
+// kTrimmable (BFS — see program.hpp for the licence); for the rest
+// core::run degrades to the untrimmed loop and stays bit-identical to
+// inmem::run by construction. Deadness is engine-level: `retired`
+// accumulates every past frontier, and an edge survives iff its source
+// is neither active nor retired — no peeking into program State.
 //
 // Masked programs (graph::MaskedProgram — MultiBfs, the batched
 // multi-source traversal) swap both engine-level bitmaps for the
@@ -52,8 +56,8 @@
 // bytes.
 //
 // Round accounting and stop rules are EXACTLY inmem::run's (change
-// both or neither); init/fan-out/gather/collect come from
-// xstream/detail.hpp.
+// both or neither); init/fan-out/scatter/gather/collect come from
+// core/detail.hpp.
 #pragma once
 
 #include <bit>
@@ -66,10 +70,10 @@
 
 #include "common/bitmap.hpp"
 #include "common/check.hpp"
-#include "common/config.hpp"
 #include "common/parallel.hpp"
 #include "common/stopwatch.hpp"
 #include "common/thread_pool.hpp"
+#include "core/detail.hpp"
 #include "core/direction.hpp"
 #include "engine/types.hpp"
 #include "graph/partitioner.hpp"
@@ -80,46 +84,13 @@
 #include "storage/codec.hpp"
 #include "storage/reader_factory.hpp"
 #include "storage/storage_plan.hpp"
-#include "xstream/detail.hpp"
 
 namespace fbfs::core {
-
-/// The unified engine surface (engine/types.hpp — the one place the
-/// shared-key precedence is documented). This engine reads every field:
-/// the trim knobs, the stay-stream codec (raw keeps the fully streamed
-/// async write; the other policies buffer survivors and encode at
-/// finish time, bitmap never applying since multi-edges keep their
-/// multiplicity), and the direction strategy below.
-using EngineOptions = engine::Options;
-using Direction = engine::Direction;
-
-template <graph::GraphProgram P>
-using RunResult = engine::RunResult<P>;
-
-/// engine::options_from_config(config, Kind::kCore): the shared keys
-/// plus the `core.*` trim knobs (write_buffer, max_iterations, trim,
-/// selective, trim_start_round, trim_min_frontier_fraction,
-/// trim_min_dead_fraction, grace_timeout, stay_buffer,
-/// stay_pool_buffers), `updates.stay_codec` (defaults to the resolved
-/// `updates.codec`), and the direction strategy (`core.direction` =
-/// topdown | bottomup | auto, `core.direction_alpha`,
-/// `core.direction_beta`).
-EngineOptions engine_options_from_config(const Config& config);
-
-/// Reads `core.partition_count` > `engine.partition_count` > `fallback`.
-std::uint32_t partition_count_from_config(const Config& config,
-                                          std::uint32_t fallback);
 
 /// Partition p's trimmed input on the stay device. Staged writes land
 /// on "<name>.wip" first, so the previous version survives cancellation.
 std::string stay_file_name(const graph::PartitionedGraph& pg,
                            std::uint32_t p);
-
-/// The hoisted per-round stats record (metrics/iteration_stats.hpp)
-/// already carries the trim life-cycle counters this engine used to
-/// bolt onto xstream's struct; the alias keeps the historical
-/// spelling the tests and benches use.
-using IterationStats = metrics::IterationStats;
 
 namespace detail {
 
@@ -143,20 +114,20 @@ struct PendingTrim {
   io::codec::Format format = io::codec::Format::kRaw;
 };
 
-/// scatter_partition's edge-observer for core (see xstream/detail.hpp's
-/// NullTrimSink for the hook contract): counts dead edges and feeds the
-/// partition's ONE staged stay stream with survivors. flush() is only
-/// ever called in input order — serially, or inside the parallel
-/// scatter's ordered hand-off, whose gate mutex sequences the calls —
-/// so the plain (non-atomic) members are race-free and the stay file
-/// receives survivors in scan order at every thread count.
+/// scatter_partition's edge-observer for trim-capable runs (see
+/// NullTrimSink in core/detail.hpp for the hook contract): counts dead
+/// edges and feeds the partition's ONE staged stay stream with
+/// survivors. flush() is only ever called in input order — serially, or
+/// inside the parallel scatter's ordered hand-off, whose gate mutex
+/// sequences the calls — so the plain (non-atomic) members are
+/// race-free and the stay file receives survivors in scan order at
+/// every thread count.
 struct StayTrimSink {
   struct ChunkState {
     std::vector<graph::Edge> survivors;
     std::uint64_t dead = 0;
   };
 
-  bool counting = false;    // trim-capable run: count dead edges
   bool collecting = false;  // trimming this scan: stage survivors
   /// Non-raw stay codec: survivors accumulate in `staged` (in scan
   /// order, flush() being input-ordered) and the engine encodes +
@@ -179,7 +150,6 @@ struct StayTrimSink {
 
   void observe(const graph::Edge& e, bool src_active,
                ChunkState& chunk) const {
-    if (!counting) return;
     const bool dead =
         masked ? retired->test(e.src) : (src_active || retired->test(e.src));
     if (dead) {
@@ -208,13 +178,17 @@ struct StayTrimSink {
 
 }  // namespace detail
 
+/// Runs `program` to convergence (or options.max_iterations) over the
+/// partitioned graph, every stream on its StoragePlan role. Reads every
+/// engine::Options field; engine::run is the dispatching front door.
 template <graph::GraphProgram P>
-RunResult<P> run(const graph::PartitionedGraph& pg,
-                 const io::StoragePlan& plan, const P& program,
-                 const EngineOptions& options = {}) {
+engine::RunResult<P> run(const graph::PartitionedGraph& pg,
+                         const io::StoragePlan& plan, const P& program,
+                         const engine::Options& options = {}) {
   using State = typename P::State;
   using Update = typename P::Update;
-  namespace xd = xstream::detail;
+  using engine::Direction;
+  using metrics::IterationStats;
   FB_CHECK_MSG(!P::kRequiresUndirected || pg.meta.undirected,
                P::kName << " requires a symmetric edge list, but "
                         << pg.meta.name
@@ -223,7 +197,7 @@ RunResult<P> run(const graph::PartitionedGraph& pg,
   const std::uint32_t num_partitions = layout.num_partitions();
   const std::uint64_t n = layout.num_vertices();
 
-  RunResult<P> result;
+  engine::RunResult<P> result;
   AtomicBitmap active(n);
   AtomicBitmap next_active(n);
 
@@ -239,21 +213,18 @@ RunResult<P> run(const graph::PartitionedGraph& pg,
   // below.
   constexpr bool masked = graph::MaskedProgram<P>;
   [[maybe_unused]] std::uint32_t batch_width = 0;
-  std::optional<xd::MaskStateTracker<P>> tracker;
+  std::optional<detail::MaskStateTracker<P>> tracker;
   if constexpr (masked) {
     batch_width = static_cast<std::uint32_t>(std::popcount(program.full_mask()));
     tracker.emplace(program, n);
-    xd::init_partition_states(pg, plan, options.reader,
-                              options.write_buffer_bytes, program, active,
-                              exec, &*tracker);
-  } else {
-    xd::init_partition_states(pg, plan, options.reader,
-                              options.write_buffer_bytes, program, active,
-                              exec);
   }
+  detail::MaskStateTracker<P>* const resident = tracker ? &*tracker : nullptr;
+  detail::init_partition_states(pg, plan, options.reader,
+                                options.write_buffer_bytes, program, active,
+                                exec, resident);
 
-  // ---- trimming state. Only kTrimmable programs ever pay for any of
-  // this; for the rest the loop below is xstream::run's. Masked
+  // ---- trimming state. Only trim-capable runs ever pay for any of
+  // this; for the rest the loop below is the plain X-Stream one. Masked
   // programs key deadness on the tracker's saturation set instead of a
   // past-frontiers bitmap (see the header comment).
   const bool trim_capable = options.trim && P::kTrimmable;
@@ -357,7 +328,7 @@ RunResult<P> run(const graph::PartitionedGraph& pg,
     stats.iteration = result.iterations;
     const metrics::RoleSnapshots io_before = plan.stats_snapshot();
     const double frontier_fraction =
-        P::kScatterAllVertices
+        P::kScatterAllVertices || !trim_capable
             ? 1.0
             : static_cast<double>(active.count_set()) / static_cast<double>(n);
 
@@ -365,7 +336,8 @@ RunResult<P> run(const graph::PartitionedGraph& pg,
     // model's per-query densities, the batch columns in the stats row,
     // and the live per-query convergence counter (monotone: a query
     // with no frontier bit anywhere can never regain one).
-    [[maybe_unused]] typename xd::MaskStateTracker<P>::RoundMasks round_masks;
+    [[maybe_unused]] typename detail::MaskStateTracker<P>::RoundMasks
+        round_masks;
     if constexpr (masked) {
       round_masks = tracker->round_masks(active);
       stats.frontier_mask_bits = round_masks.frontier_bits;
@@ -397,7 +369,7 @@ RunResult<P> run(const graph::PartitionedGraph& pg,
           din.active_queries = stats.queries_active;
         }
         for (std::uint32_t p = 0; p < num_partitions; ++p) {
-          if (!options.selective || P::kScatterAllVertices ||
+          if (P::kScatterAllVertices ||
               active.any_in_range(layout.begin(p), layout.end(p))) {
             din.topdown_scan_edges += input_edges[p];
           }
@@ -417,7 +389,7 @@ RunResult<P> run(const graph::PartitionedGraph& pg,
     // Scatter.
     {
       Stopwatch scatter_clock;
-      auto fanout = xd::open_update_fanout<Update>(
+      auto fanout = detail::open_update_fanout<Update>(
           pg, plan, options.write_buffer_bytes, options.update_codec,
           graph::kIdempotentGatherV<P>);
       if constexpr (pull_ok) {
@@ -450,7 +422,7 @@ RunResult<P> run(const graph::PartitionedGraph& pg,
             }
             metrics::ScopedPhase scatter_timer(collector,
                                                metrics::Phase::kScatter);
-            const xd::ScatterResult pulled = xd::pull_partition<P>(
+            const detail::ScatterResult pulled = detail::pull_partition<P>(
                 exec, plan.edges(), graph::transposed_file(pg, q),
                 transposed.in_edges_per_partition[q],
                 std::span<const graph::TransposedBlock>(transposed.blocks[q]),
@@ -475,7 +447,7 @@ RunResult<P> run(const graph::PartitionedGraph& pg,
       // Top-down (the entire loop no-ops after a bottom-up pull above).
       for (std::uint32_t p = 0;
            mode != Direction::kBottomUp && p < num_partitions; ++p) {
-        if (options.selective && !P::kScatterAllVertices &&
+        if (!P::kScatterAllVertices &&
             !active.any_in_range(layout.begin(p), layout.end(p))) {
           // A pending trim of a skipped partition stays pending: the
           // stream gets more time, and nothing needs its file yet.
@@ -494,7 +466,6 @@ RunResult<P> run(const graph::PartitionedGraph& pg,
                 options.trim_min_dead_fraction *
                     static_cast<double>(input_edges[p]);
         detail::StayTrimSink sink;
-        sink.counting = trim_capable;
         sink.collecting = trim_this_scan;
         sink.buffered = options.stay_codec != io::codec::Policy::kRaw;
         sink.masked = masked;
@@ -526,7 +497,7 @@ RunResult<P> run(const graph::PartitionedGraph& pg,
                                            metrics::Phase::kScatter);
         // The input readers live inside the call, so they are closed
         // before the stay stream below can commit a rename.
-        const auto scatter_from = [&](const auto& source) {
+        const auto scatter_from = [&](const auto& source, auto& trim) {
           if (input_on_stay[p] &&
               stay_format[p] != io::codec::Format::kRaw) {
             // An encoded stay file has no per-chunk byte offsets to
@@ -537,10 +508,10 @@ RunResult<P> run(const graph::PartitionedGraph& pg,
                                                  stay_file_name(pg, p),
                                                  options.reader,
                                                  input_edges[p]);
-            return xd::scatter_span<P>(exec, stay_edges, layout, source,
-                                       active, program, options.reader,
-                                       options.sieve_updates, fanout, sink,
-                                       collector);
+            return detail::scatter_span<P>(
+                exec, stay_edges, layout, source, active, program,
+                options.reader, options.sieve_updates, fanout, trim,
+                collector);
           }
           io::Device& input_dev =
               input_on_stay[p] ? plan.stay() : plan.edges();
@@ -548,21 +519,32 @@ RunResult<P> run(const graph::PartitionedGraph& pg,
               input_on_stay[p] ? stay_file_name(pg, p) : pg.partition_file(p);
           const std::uint64_t base_offset =
               input_on_stay[p] ? io::codec::kHeaderBytes : 0;
-          return xd::scatter_partition<P>(
+          return detail::scatter_partition<P>(
               exec, input_dev, input_name, base_offset, input_edges[p],
               layout, source, active, program, options.reader,
-              options.sieve_updates, fanout, sink, collector);
+              options.sieve_updates, fanout, trim, collector);
         };
-        xd::ScatterResult scattered;
-        if constexpr (masked) {
-          // Active sources' heads are resident: no state file to load.
-          scattered = scatter_from(*tracker);
+        // Runs that cannot trim (the X-Stream baseline among them) scan
+        // with the no-op sink, so their hot loop does no trim work.
+        const auto scatter_with = [&](auto& trim) {
+          if constexpr (masked) {
+            // Active sources' heads are resident: no state file to load.
+            return scatter_from(*tracker, trim);
+          } else {
+            const std::vector<State> states = detail::read_records<State>(
+                plan.state(), detail::state_file_name(pg, p), options.reader,
+                layout.size(p));
+            return scatter_from(
+                detail::StateSource<P>{program, states, layout.begin(p)},
+                trim);
+          }
+        };
+        detail::ScatterResult scattered;
+        if (trim_capable) {
+          scattered = scatter_with(sink);
         } else {
-          const std::vector<State> states = xd::read_records<State>(
-              plan.state(), xstream::state_file_name(pg, p), options.reader,
-              layout.size(p));
-          scattered = scatter_from(
-              xd::StateSource<P>{program, states, layout.begin(p)});
+          detail::NullTrimSink no_trim;
+          scattered = scatter_with(no_trim);
         }
         FB_CHECK_MSG(scattered.scanned == input_edges[p],
                      "partition " << p << " input of " << pg.meta.name
@@ -635,10 +617,10 @@ RunResult<P> run(const graph::PartitionedGraph& pg,
     next_active.reset();
     {
       Stopwatch gather_clock;
-      xd::gather_partitions(pg, plan, options.reader,
-                            options.write_buffer_bytes, program,
-                            pending_updates, next_active, exec, collector,
-                            tracker ? &*tracker : nullptr);
+      detail::gather_partitions(pg, plan, options.reader,
+                                options.write_buffer_bytes, program,
+                                pending_updates, next_active, exec, collector,
+                                resident);
       stats.gather_seconds = gather_clock.seconds();
     }
 
@@ -657,7 +639,7 @@ RunResult<P> run(const graph::PartitionedGraph& pg,
     stats.activated = active.count_set();
     stats.seconds = round_clock.seconds();
     metrics::capture_iteration_io(plan, io_before, stats);
-    xd::log_iteration(P::kName, stats);
+    detail::log_iteration(P::kName, stats);
     result.per_iteration.push_back(stats);
     if (collector != nullptr) collector->end_iteration(stats);
     if (!P::kScatterAllVertices && !active.any()) break;
@@ -695,10 +677,10 @@ RunResult<P> run(const graph::PartitionedGraph& pg,
     FB_CHECK_EQ(sum.trims_failed, result.trims_failed);
     FB_CHECK_EQ(sum.stay_edges_written, result.stay_edges_written);
   }
-  result.states = xd::collect_states<P>(pg, plan, options.reader, exec,
-                                        tracker ? &*tracker : nullptr);
+  result.states = detail::collect_states<P>(pg, plan, options.reader, exec,
+                                            resident);
   if (!options.keep_files) {
-    xd::remove_run_files(
+    detail::remove_run_files(
         pg, plan,
         tracker ? tracker->round_updates
                 : std::vector<std::vector<std::uint64_t>>{});

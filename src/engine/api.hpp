@@ -1,11 +1,14 @@
 // engine::run — the one run entry the benches and tests dispatch
-// through. Picks the engine by engine::Kind at runtime; all three
-// variants consume the same engine::Options and produce the same
+// through. Picks the engine by engine::Kind at runtime; every kind
+// consumes the same engine::Options and produces the same
 // engine::RunResult<P> (types.hpp), so a caller can sweep engines in a
 // loop instead of hard-coding one namespace per arm.
 //
-// The streaming engines run over the partitioned graph + storage plan
-// as before. Kind::kInmem ignores the partitioning and builds the
+// Kind::kXstream and Kind::kCore are the same streaming engine
+// (core::run). The X-Stream baseline is its preset with trimming and
+// direction switching off, applied here and nowhere else; the caller's
+// codec, sieve, thread, reader and buffer fields pass through
+// unchanged. Kind::kInmem ignores the partitioning and builds the
 // reference CSR straight off the plan's edge device — the same call
 // every equivalence test makes by hand — so one dispatch covers the
 // reference run too.
@@ -15,7 +18,6 @@
 #include "engine/types.hpp"
 #include "graph/csr.hpp"
 #include "inmem/engine.hpp"
-#include "xstream/engine.hpp"
 
 namespace fbfs::engine {
 
@@ -26,8 +28,12 @@ RunResult<P> run(Kind kind, const graph::PartitionedGraph& pg,
   switch (kind) {
     case Kind::kInmem:
       return inmem::run_graph(plan.edges(), pg.meta, program, options);
-    case Kind::kXstream:
-      return xstream::run(pg, plan, program, options);
+    case Kind::kXstream: {
+      Options baseline = options;
+      baseline.trim = false;
+      baseline.direction = Direction::kTopDown;
+      return core::run(pg, plan, program, baseline);
+    }
     case Kind::kCore:
       return core::run(pg, plan, program, options);
   }

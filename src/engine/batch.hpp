@@ -12,8 +12,9 @@
 //   * `batch.max_width` — queries packed per traversal, clamped to
 //     [1, graph::kMaxBatchQueries]. Default 64. Shrinking it only
 //     loses scan sharing: Update stays 16 bytes and State 280 (the
-//     type is MultiBfs<64> at every width), and core's rounds keep
-//     just the 20-byte seen/frontier/mark head per vertex resident.
+//     type is MultiBfs<64> at every width), and the streaming
+//     engine's rounds (Kind::kXstream and Kind::kCore alike) keep just
+//     the 20-byte seen/frontier/mark head per vertex resident.
 //     The 64 x 4-byte levels per vertex exist only on the state files
 //     and in the collected result.
 #pragma once

@@ -83,7 +83,6 @@ Options options_from_config(const Config& config, Kind kind) {
 
   // ---- core-only: trim, stay-stream, and direction knobs.
   opts.trim = config.get_bool_or("core.trim", opts.trim);
-  opts.selective = config.get_bool_or("core.selective", opts.selective);
   opts.trim_start_round = static_cast<std::uint32_t>(
       config.get_u64_or("core.trim_start_round", opts.trim_start_round));
   opts.trim_min_frontier_fraction = config.get_f64_or(

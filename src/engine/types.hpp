@@ -1,17 +1,12 @@
-// The unified engine surface (PR 8's api_redesign): one Options
-// struct, one RunResult, one config parser for all three run-entry
-// variants (inmem / xstream / core).
+// The engine surface: one Options struct, one RunResult, one config
+// parser for all three run kinds (inmem / xstream / core).
 //
-// Before this header each engine declared its own options + result
-// structs and its own `engine_options_from_config`, drifting a field at
-// a time (core's grew trim knobs, xstream's grew the codec keys, inmem
-// had neither). Now every engine consumes engine::Options — fields an
-// engine does not use are simply ignored (inmem reads only
-// max_iterations + collector) — and returns engine::RunResult<P>,
-// whose trim/direction counters stay default-zero for the engines that
-// never trim or flip direction. The per-engine spellings
-// (xstream::EngineOptions, core::RunResult, inmem::RunOptions, ...)
-// are `using` aliases, so existing call sites migrate mechanically.
+// Every engine consumes engine::Options — fields an engine does not use
+// are simply ignored (inmem reads only max_iterations + collector) — and
+// returns engine::RunResult<P>, whose trim/direction counters stay
+// default-zero for runs that never trim or flip direction. xstream and
+// core are one streaming engine (core::run); Kind::kXstream is its
+// baseline preset (engine/api.hpp).
 //
 // Shared-key precedence — THE one place it is documented:
 //   * `engine.num_threads` (0 = hardware concurrency) is shared by the
@@ -44,11 +39,12 @@ class Collector;
 
 namespace fbfs::engine {
 
-/// The three run-entry variants. Benches/tests dispatch on this instead
-/// of hard-coding one engine's namespace (engine::run in api.hpp).
+/// The three run kinds. Benches/tests dispatch on this instead of
+/// hard-coding one engine's namespace (engine::run in api.hpp).
 enum class Kind {
   kInmem = 0,    // exact in-memory CSR reference
-  kXstream = 1,  // streaming scatter/gather baseline
+  kXstream = 1,  // the streaming engine's X-Stream baseline preset:
+                 // trimming and direction switching forced off
   kCore = 2,     // FastBFS: trimming + direction-optimizing strategies
 };
 
@@ -98,17 +94,15 @@ struct Options {
   /// Worker threads for the scatter/gather phases. 1 = the serial
   /// engine (no pool); 0 = one per hardware thread. States, outputs,
   /// update files, and stay files are bit-identical at every count
-  /// (chunk-ordered hand-off; see xstream/detail.hpp).
+  /// (chunk-ordered hand-off; see core/detail.hpp).
   std::uint32_t num_threads = 1;
 
-  // ---- core-only knobs (ignored by inmem/xstream). --------------------
+  // ---- core-only knobs (inmem ignores them; Kind::kXstream forces
+  // trim off and direction top-down). ----------------------------------
 
   /// Master switch for edge trimming (only effective for kTrimmable
   /// programs).
   bool trim = true;
-  /// Skip partitions with no active source (xstream always does; here a
-  /// knob so the ablation can price it).
-  bool selective = true;
   /// First round allowed to start a trim (0 = eager).
   std::uint32_t trim_start_round = 0;
   /// Trim only when at least this fraction of all vertices is active
@@ -144,9 +138,9 @@ struct Options {
   metrics::Collector* collector = nullptr;
 };
 
-/// One result shape for every engine. Counters an engine never touches
-/// stay default-zero: inmem/xstream leave the whole trim/direction
-/// block alone, core leaves bottomup_rounds zero for top-down runs.
+/// One result shape for every engine. Counters a run never touches stay
+/// default-zero: inmem and the xstream preset leave the whole
+/// trim/direction block alone, top-down runs leave bottomup_rounds zero.
 template <typename P>
 struct RunResult {
   std::vector<typename P::State> states;  // all vertices, in id order

@@ -35,7 +35,7 @@
 // it rebuilds `levels` once, at collect, by replaying the rounds' kept
 // update files through gather — the same fold, the same records, in the
 // same order, so the replayed States are byte-identical to the ones a
-// per-round state-file gather (xstream::run) leaves.
+// per-round state-file gather would leave.
 #pragma once
 
 #include <array>

@@ -1,6 +1,6 @@
-// Mechanics of the FastBFS engine: trim life cycle (stream → grace →
-// swap/cancel), trim triggers, selective scheduling, fault fallback,
-// config plumbing, and file hygiene. Bit-identity against the reference
+// Mechanics of the FastBFS engine: its config keys, trim life cycle
+// (stream → grace → swap/cancel), trim triggers, selective scheduling, fault fallback,
+// and file hygiene. Bit-identity against the reference
 // engine across the full matrix lives in core_equivalence_test.cpp.
 #include <gtest/gtest.h>
 
@@ -9,12 +9,10 @@
 #include <string>
 #include <vector>
 
-#include "common/config.hpp"
 #include "common/temp_dir.hpp"
 #include "core/engine.hpp"
 #include "graph/generators.hpp"
 #include "inmem/engine.hpp"
-#include "xstream/engine.hpp"
 
 namespace fbfs {
 namespace {
@@ -64,7 +62,7 @@ struct DedicatedRig {
 };
 
 std::uint64_t edge_input_bytes_read(
-    const std::vector<core::IterationStats>& rounds) {
+    const std::vector<metrics::IterationStats>& rounds) {
   std::uint64_t total = 0;
   for (const auto& r : rounds) {
     total += r.role_io(io::Role::kEdges).bytes_read +
@@ -74,11 +72,11 @@ std::uint64_t edge_input_bytes_read(
 }
 
 TEST(CoreEngine, EngineOptionsComeFromConfigKeys) {
+  // Every core.* knob, plus the shared keys under the core kind.
   const Config config = Config::parse_string(
       "core.write_buffer = 256K\n"
       "core.max_iterations = 12\n"
       "core.trim = false\n"
-      "core.selective = false\n"
       "core.trim_start_round = 3\n"
       "core.trim_min_frontier_fraction = 0.25\n"
       "core.trim_min_dead_fraction = 0.5\n"
@@ -89,12 +87,11 @@ TEST(CoreEngine, EngineOptionsComeFromConfigKeys) {
       "engine.num_threads = 2\n"
       "updates.codec = varint\n"
       "updates.sieve = true\n");
-
-  const core::EngineOptions opts = core::engine_options_from_config(config);
+  const engine::Options opts =
+      engine::options_from_config(config, engine::Kind::kCore);
   EXPECT_EQ(opts.write_buffer_bytes, 256u * 1024);
   EXPECT_EQ(opts.max_iterations, 12u);
   EXPECT_FALSE(opts.trim);
-  EXPECT_FALSE(opts.selective);
   EXPECT_EQ(opts.trim_start_round, 3u);
   EXPECT_DOUBLE_EQ(opts.trim_min_frontier_fraction, 0.25);
   EXPECT_DOUBLE_EQ(opts.trim_min_dead_fraction, 0.5);
@@ -104,21 +101,17 @@ TEST(CoreEngine, EngineOptionsComeFromConfigKeys) {
   EXPECT_EQ(opts.num_threads, 2u);
   EXPECT_EQ(opts.update_codec, io::codec::Policy::kVarint);
   EXPECT_TRUE(opts.sieve_updates);
+  EXPECT_EQ(
+      engine::partition_count_from_config(config, engine::Kind::kCore, 2), 6u);
   // The stay codec follows the resolved updates.codec unless its own
   // key overrides it.
   EXPECT_EQ(opts.stay_codec, io::codec::Policy::kVarint);
-  const core::EngineOptions overridden = core::engine_options_from_config(
+  const engine::Options overridden = engine::options_from_config(
       Config::parse_string("updates.codec = auto\n"
-                           "updates.stay_codec = raw\n"));
+                           "updates.stay_codec = raw\n"),
+      engine::Kind::kCore);
   EXPECT_EQ(overridden.update_codec, io::codec::Policy::kAuto);
   EXPECT_EQ(overridden.stay_codec, io::codec::Policy::kRaw);
-  EXPECT_EQ(core::engine_options_from_config(Config{}).num_threads, 1u);
-  EXPECT_EQ(core::engine_options_from_config(Config{}).update_codec,
-            io::codec::Policy::kRaw);
-  EXPECT_EQ(core::engine_options_from_config(Config{}).stay_codec,
-            io::codec::Policy::kRaw);
-  EXPECT_EQ(core::partition_count_from_config(config, 2), 6u);
-  EXPECT_EQ(core::partition_count_from_config(Config{}, 2), 2u);
 }
 
 TEST(CoreEngine, TrimmingCutsEdgeInputBytes) {
@@ -129,11 +122,11 @@ TEST(CoreEngine, TrimmingCutsEdgeInputBytes) {
   const GraphMeta meta = rmat_graph(rig.edges);
   const PartitionedGraph pg = partition_edge_list(rig.plan, meta, 4);
 
-  core::EngineOptions trimmed;
+  engine::Options trimmed;
   trimmed.trim = true;
   const auto with_trim = core::run(pg, rig.plan, BfsProgram{}, trimmed);
 
-  core::EngineOptions untrimmed;
+  engine::Options untrimmed;
   untrimmed.trim = false;
   const auto without = core::run(pg, rig.plan, BfsProgram{}, untrimmed);
 
@@ -154,7 +147,7 @@ TEST(CoreEngine, NonTrimmableProgramsNeverTrim) {
   const GraphMeta sym = graph::symmetrize_edge_list(
       rig.edges, rmat_graph(rig.edges), "rmat_sym");
   const PartitionedGraph pg = partition_edge_list(rig.plan, sym, 4);
-  core::EngineOptions options;
+  engine::Options options;
   options.trim = true;  // requested, but WCC re-activates sources
   const auto result = core::run(pg, rig.plan, WccProgram{}, options);
   EXPECT_EQ(result.trims_started, 0u);
@@ -167,20 +160,20 @@ TEST(CoreEngine, TrimTriggersGateEagerTrimming) {
   const PartitionedGraph pg = partition_edge_list(rig.plan, meta, 2);
 
   // A chain's frontier is one vertex: a 10% frontier gate never opens.
-  core::EngineOptions gated;
+  engine::Options gated;
   gated.trim_min_frontier_fraction = 0.10;
   const auto fraction_gated = core::run(pg, rig.plan, BfsProgram{}, gated);
   EXPECT_EQ(fraction_gated.trims_started, 0u);
 
   // A start round beyond the run's rounds never trims either.
-  core::EngineOptions late;
+  engine::Options late;
   late.trim_start_round = 1000;
   const auto started_late = core::run(pg, rig.plan, BfsProgram{}, late);
   EXPECT_EQ(started_late.trims_started, 0u);
 
   // A dead-fraction threshold waits until a scan has SEEN enough dead
   // edges; partition 0 of the chain accumulates them round by round.
-  core::EngineOptions dead_gate;
+  engine::Options dead_gate;
   dead_gate.trim_min_dead_fraction = 0.5;
   const auto dead_gated = core::run(pg, rig.plan, BfsProgram{}, dead_gate);
   EXPECT_GT(dead_gated.trims_started, 0u);
@@ -192,23 +185,11 @@ TEST(CoreEngine, SelectiveSchedulingSkipsQuietPartitions) {
   const GraphMeta meta = chain_graph(rig.edges, 40);
   const PartitionedGraph pg = partition_edge_list(rig.plan, meta, 4);
 
-  core::EngineOptions selective;
-  const auto with_skip = core::run(pg, rig.plan, BfsProgram{}, selective);
+  const auto with_skip = core::run(pg, rig.plan, BfsProgram{});
   std::uint64_t skipped = 0;
   for (const auto& r : with_skip.per_iteration) skipped += r.partitions_skipped;
   // A chain frontier lives in one partition at a time.
   EXPECT_GT(skipped, 0u);
-
-  core::EngineOptions scan_all;
-  scan_all.selective = false;
-  const auto without = core::run(pg, rig.plan, BfsProgram{}, scan_all);
-  for (const auto& r : without.per_iteration) {
-    EXPECT_EQ(r.partitions_skipped, 0u);
-  }
-  ASSERT_EQ(with_skip.states.size(), without.states.size());
-  EXPECT_EQ(std::memcmp(with_skip.states.data(), without.states.data(),
-                        with_skip.states.size() * sizeof(BfsProgram::State)),
-            0);
 }
 
 TEST(CoreEngine, StayWriteFaultFallsBackToPreviousInput) {
@@ -222,7 +203,7 @@ TEST(CoreEngine, StayWriteFaultFallsBackToPreviousInput) {
   const std::uint64_t part0_bytes = rig.edges.file_size(part0);
 
   rig.stay.inject_write_faults(1'000'000);
-  core::EngineOptions options;
+  engine::Options options;
   options.stay_buffer_bytes = 4096;  // force mid-scan flushes into faults
   const auto result = core::run(pg, rig.plan, BfsProgram{}, options);
 
@@ -265,7 +246,7 @@ TEST(CoreEngine, GraceTimeoutCancelsAndFallsBack) {
   const auto reference = inmem::run_graph(fast, meta, BfsProgram{});
   const PartitionedGraph pg = partition_edge_list(plan, meta, 2);
 
-  core::EngineOptions options;
+  engine::Options options;
   options.grace_timeout_seconds = 0.0;
   const auto result = core::run(pg, plan, BfsProgram{}, options);
 
@@ -297,7 +278,7 @@ TEST(CoreEngine, MultiThreadedForcedCancellationIsBitIdentical) {
   const auto reference = inmem::run_graph(fast, meta, BfsProgram{});
   const PartitionedGraph pg = partition_edge_list(plan, meta, 2);
 
-  core::EngineOptions options;
+  engine::Options options;
   options.grace_timeout_seconds = 0.0;
   options.num_threads = 4;
   const auto result = core::run(pg, plan, BfsProgram{}, options);
@@ -320,7 +301,7 @@ TEST(CoreEngine, MultiThreadedStayWriteFaultFallsBack) {
   const PartitionedGraph pg = partition_edge_list(rig.plan, meta, 4);
 
   rig.stay.inject_write_faults(1'000'000);
-  core::EngineOptions options;
+  engine::Options options;
   options.stay_buffer_bytes = 4096;  // force mid-scan flushes into faults
   options.num_threads = 4;
   const auto result = core::run(pg, rig.plan, BfsProgram{}, options);
@@ -343,7 +324,7 @@ TEST(CoreEngine, StayFilesAreByteIdenticalAcrossThreadCounts) {
                      std::vector<std::vector<std::byte>>& stay_bytes) {
     const GraphMeta meta = rmat_graph(rig.edges);
     const PartitionedGraph pg = partition_edge_list(rig.plan, meta, 2);
-    core::EngineOptions options;
+    engine::Options options;
     options.keep_files = true;
     options.num_threads = threads;
     const auto result = core::run(pg, rig.plan, BfsProgram{}, options);
@@ -378,18 +359,18 @@ TEST(CoreEngine, CleansUpRunFilesUnlessKept) {
   const auto scrubbed = core::run(pg, rig.plan, BfsProgram{}, {});
   ASSERT_GT(scrubbed.trims_committed, 0u);
   for (std::uint32_t p = 0; p < 2; ++p) {
-    EXPECT_FALSE(rig.state.exists(xstream::state_file_name(pg, p)));
-    EXPECT_FALSE(rig.updates.exists(xstream::update_file_name(pg, p)));
+    EXPECT_FALSE(rig.state.exists(core::detail::state_file_name(pg, p)));
+    EXPECT_FALSE(rig.updates.exists(core::detail::update_file_name(pg, p)));
     EXPECT_FALSE(rig.stay.exists(core::stay_file_name(pg, p)));
   }
 
-  core::EngineOptions keep;
+  engine::Options keep;
   keep.keep_files = true;
   const auto kept = core::run(pg, rig.plan, BfsProgram{}, keep);
   ASSERT_GT(kept.trims_committed, 0u);
   bool any_stay = false;
   for (std::uint32_t p = 0; p < 2; ++p) {
-    EXPECT_TRUE(rig.state.exists(xstream::state_file_name(pg, p)));
+    EXPECT_TRUE(rig.state.exists(core::detail::state_file_name(pg, p)));
     any_stay = any_stay || rig.stay.exists(core::stay_file_name(pg, p));
   }
   EXPECT_TRUE(any_stay);

@@ -15,9 +15,9 @@
 #include <vector>
 
 #include "common/temp_dir.hpp"
+#include "core/detail.hpp"
 #include "graph/generators.hpp"
 #include "graph/multi_bfs.hpp"
-#include "xstream/detail.hpp"
 
 namespace fbfs {
 namespace {
@@ -348,10 +348,12 @@ TEST_F(BatchEquivalence, WideSourceListsSplitAcrossTraversals) {
   expect_queries_match(g, batch, g.sources.size());
 }
 
-// Core's masked rounds run on the resident mask tracker: no State byte
-// moves between the init write and the collect read, and collect's
-// replay of the kept round files rebuilds States byte-identical to
-// xstream::run's per-round state-file gather and to inmem.
+// Masked rounds run on the resident mask tracker: no State byte moves
+// between the init write and the collect read, and collect's replay of
+// the kept round files rebuilds States byte-identical to the references
+// — inmem's 64-query MultiBfs run and each query's own inmem BfsProgram
+// run. (The Kind::kXstream preset runs on the same tracker and is held
+// to the same inmem reference.)
 TEST_F(BatchEquivalence, CoreRoundsMoveNoStateBytes) {
   for (const std::size_t gi : {std::size_t{0}, std::size_t{2}}) {
     const TestGraph& g = (*graphs_)[gi];
@@ -403,8 +405,8 @@ TEST_F(BatchEquivalence, CoreRoundsMoveNoStateBytes) {
             EXPECT_EQ(moved.bytes_written, state_file_bytes);
             EXPECT_EQ(moved.bytes_read, state_file_bytes);
             ASSERT_EQ(run.states.size(), inmem.size());
-            EXPECT_EQ(std::memcmp(run.states.data(), xstream.data(),
-                                  xstream.size() * sizeof(Msbfs::State)),
+            EXPECT_EQ(std::memcmp(run.states.data(), inmem.data(),
+                                  inmem.size() * sizeof(Msbfs::State)),
                       0);
             for (std::uint32_t b = 0; b < program.width; ++b) {
               const auto got = program.unpack_query(
@@ -437,7 +439,8 @@ TEST_F(BatchEquivalence, KeptRoundFilesRemainOnlyWithKeepFiles) {
   const auto round_files = [&](std::uint32_t round) {
     std::uint32_t found = 0;
     for (std::uint32_t q = 0; q < g.pg.layout.num_partitions(); ++q) {
-      found += run_dev.exists(xstream::round_update_file_name(g.pg, q, round));
+      found += run_dev.exists(
+          core::detail::round_update_file_name(g.pg, q, round));
     }
     return found;
   };

@@ -11,13 +11,14 @@
 #include <string>
 
 #include "common/temp_dir.hpp"
+#include "engine/api.hpp"
 #include "graph/generators.hpp"
 #include "inmem/engine.hpp"
-#include "xstream/engine.hpp"
 
 namespace fbfs {
 namespace {
 
+using engine::Kind;
 using graph::BfsProgram;
 using graph::GraphMeta;
 using graph::PageRankProgram;
@@ -69,11 +70,12 @@ void expect_equivalent(io::Device& dev, const GraphMeta& meta,
         SCOPED_TRACE(std::string(P::kName) + " on " + meta.name + ", P=" +
                      std::to_string(parts) + ", reader=" + to_string(mode) +
                      ", T=" + std::to_string(threads));
-        xstream::EngineOptions options;
+        engine::Options options;
         options.reader.mode = mode;
         options.max_iterations = max_iterations;
         options.num_threads = threads;
-        const auto streamed = xstream::run(pg, plan, program, options);
+        const auto streamed =
+            engine::run(Kind::kXstream, pg, plan, program, options);
 
         ASSERT_EQ(streamed.iterations, reference.iterations);
         ASSERT_EQ(streamed.updates_emitted, reference.updates_emitted);
@@ -203,7 +205,7 @@ TEST(Equivalence, DualPlanMatchesSinglePlan) {
   const io::StoragePlan plan = io::StoragePlan::dual(main_dev, aux_dev);
   const graph::PartitionedGraph pg =
       graph::partition_edge_list(plan, meta, 4);
-  const auto streamed = xstream::run(pg, plan, BfsProgram{});
+  const auto streamed = engine::run(Kind::kXstream, pg, plan, BfsProgram{});
   ASSERT_EQ(streamed.states.size(), reference.states.size());
   EXPECT_EQ(std::memcmp(streamed.states.data(), reference.states.data(),
                         streamed.states.size() *

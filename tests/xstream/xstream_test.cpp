@@ -1,8 +1,10 @@
-// Streaming-engine mechanics: state/update files land on the roles the
-// StoragePlan names, partitions with no active source are skipped,
-// files are cleaned up (or kept on request), and the config plumbing
-// resolves engine options.
-#include "xstream/engine.hpp"
+// Streaming-engine mechanics, driven through the X-Stream baseline
+// preset (engine::run with Kind::kXstream): its config keys resolve,
+// state/update files land on the roles the StoragePlan names,
+// partitions with no active source are skipped, files are cleaned up
+// (or kept on request), update shuffles are byte-identical across
+// thread counts, and gather/collect check update routing.
+#include "engine/api.hpp"
 
 #include <gtest/gtest.h>
 
@@ -16,9 +18,14 @@
 #include "graph/generators.hpp"
 #include "graph/multi_bfs.hpp"
 
-namespace fbfs::xstream {
+namespace fbfs {
 namespace {
 
+namespace detail = core::detail;
+using detail::round_update_file_name;
+using detail::state_file_name;
+using detail::update_file_name;
+using engine::Kind;
 using graph::BfsProgram;
 using graph::Edge;
 using graph::GraphMeta;
@@ -36,6 +43,15 @@ GraphMeta chain_graph(io::Device& dev, std::uint64_t n) {
       });
 }
 
+/// The X-Stream baseline preset through the engine front door.
+template <graph::GraphProgram P>
+engine::RunResult<P> run_xstream(const PartitionedGraph& pg,
+                                 const io::StoragePlan& plan,
+                                 const P& program,
+                                 const engine::Options& options = {}) {
+  return engine::run(Kind::kXstream, pg, plan, program, options);
+}
+
 TEST(XStream, BfsOnAChainAcrossPartitions) {
   TempDir dir("xstream");
   io::Device dev(dir.str(), io::DeviceModel::unthrottled());
@@ -43,7 +59,7 @@ TEST(XStream, BfsOnAChainAcrossPartitions) {
   const io::StoragePlan plan = io::StoragePlan::single(dev);
   const PartitionedGraph pg = partition_edge_list(plan, meta, 4);
 
-  const auto result = run(pg, plan, BfsProgram{.root = 0});
+  const auto result = run_xstream(pg, plan, BfsProgram{.root = 0});
   ASSERT_EQ(result.states.size(), 20u);
   for (std::uint32_t v = 0; v < 20; ++v) {
     EXPECT_EQ(result.states[v].level, v);
@@ -53,6 +69,29 @@ TEST(XStream, BfsOnAChainAcrossPartitions) {
   EXPECT_EQ(result.per_iteration.size(), result.iterations);
 }
 
+TEST(XStream, EngineOptionsComeFromConfigKeys) {
+  // The shared io.* / updates.* keys and the xstream-specific spellings.
+  const Config cfg = Config::parse_string(
+      "io.reader = prefetch\n"
+      "io.reader_buffer = 256K\n"
+      "xstream.write_buffer = 2M\n"
+      "xstream.max_iterations = 42\n"
+      "xstream.partition_count = 12\n"
+      "engine.num_threads = 3\n"
+      "updates.codec = auto\n"
+      "updates.sieve = true\n");
+  const engine::Options options =
+      engine::options_from_config(cfg, Kind::kXstream);
+  EXPECT_EQ(options.reader.mode, io::ReaderMode::kPrefetch);
+  EXPECT_EQ(options.reader.buffer_bytes, 256u * 1024);
+  EXPECT_EQ(options.write_buffer_bytes, 2u * 1024 * 1024);
+  EXPECT_EQ(options.max_iterations, 42u);
+  EXPECT_EQ(options.num_threads, 3u);
+  EXPECT_EQ(options.update_codec, io::codec::Policy::kAuto);
+  EXPECT_TRUE(options.sieve_updates);
+  EXPECT_EQ(engine::partition_count_from_config(cfg, Kind::kXstream, 4), 12u);
+}
+
 TEST(XStream, InactivePartitionsAreNotScattered) {
   TempDir dir("xstream");
   io::Device dev(dir.str(), io::DeviceModel::unthrottled());
@@ -60,11 +99,11 @@ TEST(XStream, InactivePartitionsAreNotScattered) {
   const io::StoragePlan plan = io::StoragePlan::single(dev);
   const PartitionedGraph pg = partition_edge_list(plan, meta, 4);
 
-  const auto result = run(pg, plan, BfsProgram{.root = 0});
+  const auto result = run_xstream(pg, plan, BfsProgram{.root = 0});
   // A chain BFS has a one-vertex frontier: every round touches exactly
   // the one partition owning it — the skip logic the paper's selective
   // scheduling (PR 4) builds on.
-  for (const IterationStats& stats : result.per_iteration) {
+  for (const metrics::IterationStats& stats : result.per_iteration) {
     EXPECT_EQ(stats.partitions_scattered, 1u) << stats.iteration;
     EXPECT_LE(stats.updates_emitted, 1u);
   }
@@ -81,9 +120,9 @@ TEST(XStream, StoragePlanRoutesStreamsToTheirDevices) {
   plan.assign(io::Role::kUpdates, upd_dev);
   const PartitionedGraph pg = partition_edge_list(plan, meta, 3);
 
-  EngineOptions options;
+  engine::Options options;
   options.keep_files = true;
-  const auto result = run(pg, plan, BfsProgram{.root = 0}, options);
+  const auto result = run_xstream(pg, plan, BfsProgram{.root = 0}, options);
   EXPECT_EQ(result.states.back().level, 31u);
 
   // Each stream only touched its own device.
@@ -106,7 +145,7 @@ TEST(XStream, FilesAreRemovedByDefault) {
   const GraphMeta meta = chain_graph(dev, 12);
   const io::StoragePlan plan = io::StoragePlan::single(dev);
   const PartitionedGraph pg = partition_edge_list(plan, meta, 2);
-  (void)run(pg, plan, BfsProgram{.root = 0});
+  (void)run_xstream(pg, plan, BfsProgram{.root = 0});
   for (std::uint32_t p = 0; p < 2; ++p) {
     EXPECT_FALSE(dev.exists(state_file_name(pg, p)));
     EXPECT_FALSE(dev.exists(update_file_name(pg, p)));
@@ -127,37 +166,10 @@ TEST(XStream, SinglePartitionAndUnreachableVertices) {
       });
   const io::StoragePlan plan = io::StoragePlan::single(dev);
   const PartitionedGraph pg = partition_edge_list(plan, meta, 1);
-  const auto result = run(pg, plan, BfsProgram{.root = 0});
+  const auto result = run_xstream(pg, plan, BfsProgram{.root = 0});
   EXPECT_EQ(result.states[1].level, 1u);
   EXPECT_EQ(result.states[4].level, kUnreachedLevel);
   EXPECT_EQ(result.states[5].level, kUnreachedLevel);
-}
-
-TEST(XStream, EngineOptionsComeFromConfigKeys) {
-  const Config cfg = Config::parse_string(
-      "io.reader = prefetch\n"
-      "io.reader_buffer = 256K\n"
-      "xstream.write_buffer = 2M\n"
-      "xstream.max_iterations = 42\n"
-      "xstream.partition_count = 12\n"
-      "engine.num_threads = 3\n"
-      "updates.codec = auto\n"
-      "updates.sieve = true\n");
-  const EngineOptions options = engine_options_from_config(cfg);
-  EXPECT_EQ(options.reader.mode, io::ReaderMode::kPrefetch);
-  EXPECT_EQ(options.reader.buffer_bytes, 256u * 1024);
-  EXPECT_EQ(options.write_buffer_bytes, 2u * 1024 * 1024);
-  EXPECT_EQ(options.max_iterations, 42u);
-  EXPECT_EQ(options.num_threads, 3u);
-  EXPECT_EQ(options.update_codec, io::codec::Policy::kAuto);
-  EXPECT_TRUE(options.sieve_updates);
-  EXPECT_EQ(partition_count_from_config(cfg, 4), 12u);
-  EXPECT_EQ(partition_count_from_config(Config(), 4), 4u);
-  // Absent keys -> the serial engine writing raw, sieve off.
-  EXPECT_EQ(engine_options_from_config(Config()).num_threads, 1u);
-  EXPECT_EQ(engine_options_from_config(Config()).update_codec,
-            io::codec::Policy::kRaw);
-  EXPECT_FALSE(engine_options_from_config(Config()).sieve_updates);
 }
 
 std::vector<std::byte> file_bytes(io::Device& dev, const std::string& name) {
@@ -191,15 +203,15 @@ TEST(XStream, UpdateShuffleIsByteIdenticalAcrossThreadCounts) {
 
   const graph::PageRankProgram program{.num_vertices =
                                            source.num_vertices()};
-  EngineOptions options;
+  engine::Options options;
   options.keep_files = true;
   options.max_iterations = 3;
   options.num_threads = 1;
-  const auto serial = run(pgs[0], io::StoragePlan::single(t1_dev), program,
-                          options);
+  const auto serial =
+      run_xstream(pgs[0], io::StoragePlan::single(t1_dev), program, options);
   options.num_threads = 4;
-  const auto threaded = run(pgs[1], io::StoragePlan::single(t4_dev), program,
-                            options);
+  const auto threaded =
+      run_xstream(pgs[1], io::StoragePlan::single(t4_dev), program, options);
 
   ASSERT_EQ(serial.iterations, threaded.iterations);
   ASSERT_EQ(serial.updates_emitted, threaded.updates_emitted);
@@ -302,4 +314,4 @@ TEST(XStreamDeath, CollectReplayChecksRouting) {
 }
 
 }  // namespace
-}  // namespace fbfs::xstream
+}  // namespace fbfs
